@@ -66,7 +66,7 @@ from .ratpoly import (
     shift_argument,
     sturm_count_real_roots,
 )
-from .rootline import RootFindingError, RootReport, find_roots, verify_line
+from .rootline import RootReport, find_roots, verify_line
 from .rootsystems import (
     CLI_LABELS,
     GroupTooLargeError,
@@ -89,7 +89,6 @@ __all__ = [
     "PositiveRoot",
     "QuasiPoly",
     "RatPoly",
-    "RootFindingError",
     "RootReport",
     "RootSystemInfo",
     "WeylElement",

@@ -128,17 +128,8 @@ def _parse_n_list(text: str) -> list:
 
 
 def _exact_flag(report) -> str:
-    """Render the exact-certificate outcome as yes / no / '-'.
-
-    '-' marks the indeterminate case: the symmetry half went through but the
-    shifted polynomial has a repeated root, so the real-root count check does
-    not apply.
-    """
-    if not report.symmetry_exact:
-        return "no"
-    if not report.squarefree:
-        return "-"
-    return "yes" if report.sturm_exact else "no"
+    """Render the exact-certificate outcome as yes / no."""
+    return "yes" if report.symmetry_exact and report.sturm_exact else "no"
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +215,8 @@ def _oracle_row(label: str, n: int, q: int):
 def cmd_verify(args) -> int:
     info = catalog(args.type)
     n = args.n
+    if args.mode in ("oracle", "both") and args.q_max < 1:
+        raise ValueError("--q-max must be >= 1 for --mode oracle or both")
     checks: dict = {}
     record: dict = {
         "command": "verify",
@@ -486,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--q-max",
         type=int,
         default=12,
-        help="largest modulus for the counting oracle (default: 12)",
+        help="largest modulus for the counting oracle, at least 1 (default: 12)",
     )
     p_verify.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p_verify.set_defaults(func=cmd_verify)

@@ -98,20 +98,9 @@ def _newton_interpolate(start: int, step: int, values: list[Fraction]) -> RatPol
 
 @lru_cache(maxsize=None)
 def ehrhart_quasi(info: RootSystemInfo) -> QuasiPoly:
-    """The alcove Ehrhart quasi-polynomial: degree = rank, period = rho."""
-    rho, ell = info.period_rho, info.rank
-    series = _alcove_series(info.marks, rho * (ell + 2))
-    slots = []
-    for r in range(rho):
-        vals = [Fraction(series[r + j * rho]) for j in range(ell + 1)]
-        poly = _newton_interpolate(r, rho, vals)
-        spare = r + (ell + 1) * rho
-        if poly(spare) != series[spare]:
-            raise PeriodConsistencyError(
-                f"{info.label}: residue {r} misses node {spare}"
-            )
-        slots.append(poly)
-    return QuasiPoly(rho, tuple(slots))
+    """The alcove Ehrhart quasi-polynomial: degree = rank, period = rho
+    (= lcm of the marks), from the series 1 / prod_{i=0..l} (1 - x^{c_i})."""
+    return series_to_quasipoly(RatPoly.one(), [(c, 1) for c in info.marks])
 
 
 def series_to_quasipoly(

@@ -2,30 +2,32 @@
 
 Two independent routes:
 
-numeric — all roots via Aberth–Ehrlich simultaneous iteration.  Zero roots
-are stripped off exactly first, and repeated roots are separated with an
-exact gcd so the iteration only ever runs on squarefree factors, where
-per-root convergence can be detected by a backward-error test (the residual
-|p(z)| dropping to the floating-point noise floor of the evaluation).  Each
-converged root is then sharpened by two Newton steps carried out in exact
-rational complex arithmetic, which pushes the error to the last few ulps
-regardless of the coefficient scale.  The report carries the maximal
-deviation |Re z - a|.
+numeric — all roots as companion-matrix eigenvalues (``numpy.roots``).  Zero
+roots are stripped off exactly first, and repeated roots are separated with
+an exact gcd, so the eigenvalue solve only ever sees squarefree factors.
+Each factor is first shifted exactly, in rational arithmetic, onto the
+centroid of its roots, -c_{d-1} / (d c_d).  For a characteristic polynomial
+that centroid is the line nh/2 itself, so the eigenvalues come from a
+polynomial whose roots sit on the imaginary axis, and their real parts carry
+only the rounding error of the centred coefficients.  The report carries the
+maximal deviation |Re z - a|.
 
 exact — shift by a (rational arithmetic): all roots lie on Re z = a iff
-r(s) = p(s + a) satisfies r(-s) = (-1)^deg r(s) AND the real polynomial
-w(u) = i^(-deg) * r(iu) has only real roots.  The parity is an exact
-coefficient check; the all-real-roots claim is certified by an exact Sturm
-count when r is squarefree.  Together these turn a floating-point
-observation into a rational-arithmetic proof.
+r(s) = p(s + a) satisfies r(-s) = (-1)^deg r(s) AND the squarefree part
+q = r / gcd(r, r'), of degree d, turns into a real polynomial
+w(u) = i^(-d) * q(iu) with d distinct real roots.  The parity is an exact
+coefficient check; the real-root count is an exact Sturm count on w, which
+is squarefree by construction.  Together these turn a floating-point
+observation into a rational-arithmetic proof or refutation, repeated roots
+included.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .ratpoly import (
     RatPoly,
@@ -36,14 +38,7 @@ from .ratpoly import (
     sturm_count_real_roots,
 )
 
-__all__ = ["RootReport", "RootFindingError", "find_roots", "verify_line"]
-
-_EPS = 2.220446049250313e-16
-_MAX_ITER = 500
-
-
-class RootFindingError(RuntimeError):
-    """Aberth iteration failed to converge."""
+__all__ = ["RootReport", "find_roots", "verify_line"]
 
 
 @dataclass(frozen=True)
@@ -56,108 +51,14 @@ class RootReport:
     squarefree: bool
 
 
-def _scaled_float_coeffs(p: RatPoly) -> tuple[list[float], float]:
-    """Monic-normalize and rescale the variable so roots land near the unit
-    circle; returns (coefficients of q(y) = p(R y)/(lead * R^deg), R)."""
+def _centred_roots(p: RatPoly) -> list[complex]:
+    """Roots of a squarefree p with nonzero constant term: companion-matrix
+    eigenvalues of p shifted exactly onto the centroid of its roots."""
     deg = int(p.degree)
-    lead = p.leading
-    radius = 0.0
-    for k in range(deg):
-        ratio = abs(p.coeffs[k] / lead)
-        if ratio:
-            radius = max(radius, 2.0 * float(ratio) ** (1.0 / (deg - k)))
-    if radius == 0.0:
-        radius = 1.0
-    scaled = [float(p.coeffs[k] / lead) / radius ** (deg - k) for k in range(deg)]
-    scaled.append(1.0)
-    return scaled, radius
-
-
-def _polish_exact(p: RatPoly, z0: complex, rounds: int = 2) -> complex:
-    """Sharpen an approximate simple root by Newton steps in exact rational
-    complex arithmetic.  Convergence is quadratic, so two rounds take a
-    double-precision seed to well below one ulp of the true root."""
-    re, im = Fraction(z0.real), Fraction(z0.imag)
-    coeffs = p.coeffs
-    for _ in range(rounds):
-        pv_re = pv_im = Fraction(0)
-        dv_re = dv_im = Fraction(0)
-        for c in reversed(coeffs):
-            dv_re, dv_im = (
-                dv_re * re - dv_im * im + pv_re,
-                dv_re * im + dv_im * re + pv_im,
-            )
-            pv_re, pv_im = pv_re * re - pv_im * im + c, pv_re * im + pv_im * re
-        if pv_re == 0 and pv_im == 0:
-            break
-        dmag = dv_re * dv_re + dv_im * dv_im
-        if dmag == 0:
-            break
-        step_re = (pv_re * dv_re + pv_im * dv_im) / dmag
-        step_im = (pv_im * dv_re - pv_re * dv_im) / dmag
-        re -= step_re
-        im -= step_im
-    return complex(float(re), float(im))
-
-
-def _aberth_squarefree(p: RatPoly) -> list[complex]:
-    """Roots of a squarefree polynomial with nonzero constant term."""
-    deg = int(p.degree)
-    coeffs, radius = _scaled_float_coeffs(p)
-    dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
-    threshold = (2.0 * deg + 2.0) * _EPS
-    # perturbed circle: fixed angular offset plus a small per-index wobble
-    z = [
-        (0.75 + 0.15 * ((3 * j) % 4) / 4.0)
-        * cmath.exp(1j * (2 * math.pi * j / deg + 0.41))
-        for j in range(deg)
-    ]
-    converged = [False] * deg
-    for _ in range(_MAX_ITER):
-        done = True
-        for j in range(deg):
-            if converged[j]:
-                continue
-            zj = z[j]
-            azj = abs(zj)
-            pv = 0j
-            dv = 0j
-            err = 0.0
-            for c in reversed(coeffs):
-                dv = dv * zj + pv
-                pv = pv * zj + c
-                err = err * azj + abs(c)
-            if abs(pv) <= threshold * err:
-                # indistinguishable from an exact zero in double precision
-                converged[j] = True
-                continue
-            done = False
-            if dv == 0:
-                z[j] = zj + 1e-6 + 1e-6j
-                continue
-            newton = pv / dv
-            repel = 0j
-            collided = False
-            for k in range(deg):
-                if k == j:
-                    continue
-                diff = zj - z[k]
-                if diff == 0:
-                    collided = True
-                    break
-                repel += 1.0 / diff
-            if collided:
-                z[j] = zj + 1e-8 * (1 + j) * (1 + 1j)
-                continue
-            denom = 1.0 - newton * repel
-            z[j] = zj - (newton / denom if denom != 0 else newton)
-        if done:
-            break
-    else:
-        raise RootFindingError(
-            f"no convergence after {_MAX_ITER} iterations (degree {deg})"
-        )
-    return [_polish_exact(p, w * radius) for w in z]
+    a = -p.coeffs[-2] / (deg * p.leading)
+    r = shift_argument(p, a)
+    monic = [float(c / r.leading) for c in reversed(r.coeffs)]
+    return [complex(z) + float(a) for z in np.roots(monic)]
 
 
 def find_roots(p: RatPoly) -> list[complex]:
@@ -182,10 +83,10 @@ def find_roots(p: RatPoly) -> list[complex]:
         if g.degree >= 1:
             squarefree_part, rem = poly_divmod(p, g)
             assert rem.is_zero
-            roots.extend(_aberth_squarefree(squarefree_part))
+            roots.extend(_centred_roots(squarefree_part))
             roots.extend(find_roots(g))
         else:
-            roots.extend(_aberth_squarefree(p))
+            roots.extend(_centred_roots(p))
     return sorted(roots, key=lambda w: (w.imag, w.real))
 
 
@@ -200,23 +101,26 @@ def verify_line(p: RatPoly, a: Fraction | int) -> RootReport:
     symmetry = all(
         c == 0 for k, c in enumerate(r.coeffs) if (k - deg) % 2
     )
-    squarefree = poly_gcd(r, derivative(r)).degree <= 0
+    g = poly_gcd(r, derivative(r))
 
     sturm_ok = False
-    if symmetry and squarefree:
-        # w(u) = i^(-deg) r(iu) has rational coefficients by parity
+    if symmetry:
+        # the squarefree part keeps the parity of r, so
+        # w(u) = i^(-d) q(iu) has rational coefficients
+        q, _ = poly_divmod(r, g)
+        d = int(q.degree)
         w = RatPoly(
             tuple(
-                c * (-1) ** ((deg - k) // 2) if (deg - k) % 2 == 0 else Fraction(0)
-                for k, c in enumerate(r.coeffs)
+                c * (-1) ** ((d - k) // 2) if (d - k) % 2 == 0 else Fraction(0)
+                for k, c in enumerate(q.coeffs)
             )
         )
-        sturm_ok = sturm_count_real_roots(w) == deg
+        sturm_ok = sturm_count_real_roots(w) == d
     return RootReport(
         target_real_part=a,
         roots=roots,
         max_deviation=max_dev,
         symmetry_exact=symmetry,
         sturm_exact=sturm_ok,
-        squarefree=squarefree,
+        squarefree=g.degree <= 0,
     )

@@ -13,6 +13,7 @@ beta -> beta - (sum_i beta_i A[i][j]) e_j.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,7 @@ __all__ = [
     "positive_roots",
     "highest_root",
     "weyl_elements",
+    "weyl_group_order",
     "CLI_LABELS",
 ]
 
@@ -253,14 +255,26 @@ def highest_root(info: RootSystemInfo) -> tuple[int, ...]:
     return positive_roots(info)[-1].coords
 
 
+def weyl_group_order(info: RootSystemInfo) -> int:
+    """|W| = l! * f * c_1 * ... * c_l (Bourbaki, Lie Groups, Ch. VI), with f
+    the index of connection and c_i the marks of the highest root."""
+    return math.factorial(info.rank) * info.index_f * math.prod(info.marks)
+
+
 @lru_cache(maxsize=None)
 def weyl_elements(info: RootSystemInfo, cap: int = 200000) -> tuple[WeylElement, ...]:
     """Every Weyl group element, as the tuple of images of the simple roots,
-    by breadth-first closure; raises GroupTooLargeError past ``cap``.
+    by breadth-first closure; raises GroupTooLargeError, before enumerating,
+    when the group order exceeds ``cap``.
 
     Each element also records the signs of w(alpha_i) for i = 0..l, where
     alpha_0 = -(highest root).
     """
+    order = weyl_group_order(info)
+    if order > cap:
+        raise GroupTooLargeError(
+            f"Weyl group of {info.label} has order {order}, over cap {cap}"
+        )
     rank = info.rank
     cartan = info.cartan
     theta = highest_root(info)
@@ -274,10 +288,6 @@ def weyl_elements(info: RootSystemInfo, cap: int = 200000) -> tuple[WeylElement,
                 new = tuple(_reflect(v, j, cartan) for v in w)
                 if new not in seen:
                     seen[new] = None
-                    if len(seen) > cap:
-                        raise GroupTooLargeError(
-                            f"Weyl group of {info.label} exceeds cap {cap}"
-                        )
                     nxt.append(new)
         queue = nxt
 

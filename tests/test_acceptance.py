@@ -293,8 +293,7 @@ def test_criterion_6_main_theorem_suite():
                 if p != char_poly(info, n):
                     failures.append(("closed form", label, n))
                 rep = verify_line(p, Fraction(n * h, 2))
-                certified = rep.sturm_exact or not rep.squarefree
-                if not (rep.max_deviation < 1e-8 and rep.symmetry_exact and certified):
+                if not (rep.max_deviation < 1e-8 and rep.symmetry_exact and rep.sturm_exact):
                     failures.append(("line", label, n))
     elapsed = time.monotonic() - started
     _report(

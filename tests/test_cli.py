@@ -59,11 +59,11 @@ def test_table_csv_parses(capsys):
     assert len(rows) == 3
 
 
-def test_table_n_zero_indeterminate_flag(capsys):
-    # t^ell has a repeated root: symmetry holds, Sturm cannot apply
+def test_table_n_zero_repeated_root_certified(capsys):
+    # t^ell has a repeated root: the Sturm count runs on its squarefree part t
     code, out, _ = run_cli(capsys, "table", "A2", "--n-list", "0")
     assert code == 0
-    assert "| 0 | t^2 | 0 | - |" in out
+    assert "| 0 | t^2 | 0 | yes |" in out
 
 
 def test_bad_type_is_an_error(capsys):
@@ -122,6 +122,15 @@ def test_verify_oracle_valid_regime_passes(capsys):
     assert "first_failure" not in doc
 
 
+@pytest.mark.parametrize("mode", ["oracle", "both"])
+def test_verify_oracle_rejects_empty_modulus_range(capsys, mode):
+    # --q-max 0 would check no modulus at all and report a vacuous pass
+    code, out, err = run_cli(capsys, "verify", "B2", "1", "--mode", mode, "--q-max", "0")
+    assert code == 2
+    assert out == ""
+    assert "--q-max must be >= 1" in err
+
+
 def test_verify_oracle_jobs_deterministic(capsys):
     a = run_cli(capsys, "verify", "B2", "1", "--mode", "both", "--q-max", "6")
     b = run_cli(capsys, "verify", "B2", "1", "--mode", "both", "--q-max", "6", "--jobs", "2")
@@ -162,7 +171,8 @@ def test_roots_json(capsys):
 
 
 def test_roots_strict_tolerance_still_passes(capsys):
-    # the rational polishing step leaves essentially no numeric error
+    # eigenvalues of the exactly centred polynomial: here about 2e-15 off
+    # the line, well inside the strict tolerance
     code, out, _ = run_cli(capsys, "roots", "F4", "2", "--tol", "1e-13")
     assert code == 0
 

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from linial.ratpoly import RatPoly
-from linial.rootline import RootFindingError, find_roots, verify_line
+from linial.rootline import find_roots, verify_line
 from linial.rootsystems import catalog
 from linial.arrangements import char_poly
+
+from conftest import ALL_TYPES
 
 
 def test_linear():
@@ -82,15 +84,27 @@ def test_verify_line_rejects_asymmetric():
     rep = verify_line(p, Fraction(2))
     assert not rep.symmetry_exact
     assert not rep.sturm_exact
+    # t^2 + t + 1 at 0: its even part alone, t^2 + 1, would pass the count
+    rep = verify_line(RatPoly((1, 1, 1)), 0)
+    assert not rep.symmetry_exact
+    assert not rep.sturm_exact
 
 
-def test_verify_line_indeterminate_when_repeated():
+def test_verify_line_certifies_repeated_roots():
     p = RatPoly((1, 0, 1)) ** 2  # (t^2 + 1)^2: on the line, but not squarefree
     rep = verify_line(p, 0)
     assert rep.symmetry_exact
     assert not rep.squarefree
-    assert not rep.sturm_exact  # indeterminate, reported as not-proven
+    assert rep.sturm_exact  # decided on the squarefree part t^2 + 1
     assert rep.max_deviation < 1e-7
+
+
+def test_verify_line_rejects_repeated_real_pair():
+    # ((t-1)(t-2))^2: symmetric about 3/2 but off the vertical line
+    p = RatPoly((2, -3, 1)) ** 2
+    rep = verify_line(p, Fraction(3, 2))
+    assert rep.symmetry_exact and not rep.squarefree
+    assert not rep.sturm_exact
 
 
 def test_verify_line_monomial():
@@ -99,12 +113,28 @@ def test_verify_line_monomial():
     assert rep.symmetry_exact and not rep.squarefree
 
 
-@pytest.mark.parametrize(
-    "label,n,target",
-    [("A2", 1, Fraction(3, 2)), ("G2", 1, 3), ("F4", 2, 12), ("E6", 1, 6), ("E7", 1, Fraction(9))],
-)
+def _table_rows():
+    """The original spot rows, then every catalogued type at n = 1, rho,
+    2 rho + 1 and 120, capped at n = 120 (which drops 2 rho + 1 for E8)."""
+    rows = [
+        ("A2", 1, Fraction(3, 2)),
+        ("G2", 1, 3),
+        ("F4", 2, 12),
+        ("E6", 1, 6),
+        ("E7", 1, Fraction(9)),
+    ]
+    seen = {row[:2] for row in rows}
+    for label in ALL_TYPES:
+        info = catalog(label)
+        for n in sorted({1, info.period_rho, 2 * info.period_rho + 1, 120}):
+            if n <= 120 and (label, n) not in seen:
+                rows.append((label, n, Fraction(n * info.coxeter_h, 2)))
+    return rows
+
+
+@pytest.mark.parametrize("label,n,target", _table_rows())
 def test_table_rows_on_the_line(label, n, target):
     p = char_poly(catalog(label), n)
     rep = verify_line(p, Fraction(target))
-    assert rep.max_deviation < 1e-8
+    assert rep.max_deviation < 1e-10
     assert rep.symmetry_exact and rep.sturm_exact and rep.squarefree

@@ -11,6 +11,7 @@ from linial.rootsystems import (
     highest_root,
     positive_roots,
     weyl_elements,
+    weyl_group_order,
 )
 
 # label -> (marks incl. the extra 1, h, rho, rad_rho, f)
@@ -102,14 +103,32 @@ def test_highest_root_coords_exact():
 
 
 WEYL_ORDERS = {
+    "A1": 2,
     "A2": 6,
+    "A3": 24,
     "A4": 120,
+    "A5": 720,
     "B2": 8,
     "B3": 48,
+    "B4": 384,
+    "C2": 8,
     "C3": 48,
+    "C4": 384,
     "D4": 192,
+    "D5": 1920,
     "G2": 12,
     "F4": 1152,
+}
+
+# too large to enumerate in a unit test; the cap check relies on the formula
+LARGE_WEYL_ORDERS = {
+    "A8": 362880,
+    "B8": 10321920,
+    "C8": 10321920,
+    "D8": 5160960,
+    "E6": 51840,
+    "E7": 2903040,
+    "E8": 696729600,
 }
 
 
@@ -118,6 +137,12 @@ def test_weyl_group_order(label):
     info = catalog(label)
     elements = weyl_elements(info)
     assert len(elements) == WEYL_ORDERS[label]
+    assert weyl_group_order(info) == WEYL_ORDERS[label]
+
+
+@pytest.mark.parametrize("label", sorted(LARGE_WEYL_ORDERS))
+def test_weyl_group_order_formula_large(label):
+    assert weyl_group_order(catalog(label)) == LARGE_WEYL_ORDERS[label]
 
 
 def test_weyl_sign_vectors():
