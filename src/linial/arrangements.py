@@ -36,6 +36,9 @@ from .eulerian import generalized_eulerian
 from .quasipoly import (
     OperatorPoly,
     QuasiPoly,
+    _integer_form,
+    _integer_operator,
+    _operator_slot,
     apply_S,
     apply_Sbar,
     minimal_period,
@@ -66,10 +69,22 @@ def char_quasi(info: RootSystemInfo, n: int) -> QuasiPoly:
     return apply_S(ehrhart_quasi(info), op)
 
 
+@lru_cache(maxsize=None)
+def _ehrhart_form(info: RootSystemInfo):
+    """L_Phi's integer form, shared by every ``char_poly`` of the type."""
+    return _integer_form(ehrhart_quasi(info))
+
+
+@lru_cache(maxsize=None)
 def char_poly(info: RootSystemInfo, n: int) -> RatPoly:
-    """The characteristic polynomial: constituent at residue 1 mod period."""
-    f = minimal_period(char_quasi(info, n))
-    return f.constituents[1 % f.period]
+    """The characteristic polynomial: the constituent of ``char_quasi`` at
+    residue 1, computed as that one slot of R_Phi(S^(n+1)) applied to L_Phi
+    without building the others."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    op = OperatorPoly(generalized_eulerian(info), stride=n + 1)
+    slot = 1 % info.period_rho  # rho is L_Phi's minimal period
+    return _operator_slot(_ehrhart_form(info), _integer_operator(op), slot, rotate=True)
 
 
 def oracle_agreement_bound(info: RootSystemInfo, n: int) -> int:

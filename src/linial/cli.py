@@ -23,12 +23,14 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 from .arrangements import (
     char_poly,
     char_quasi,
     gcd_prime_polynomial,
+    oracle_agreement_bound,
     oracle_count,
     verify_corollary1,
     verify_main_theorem,
@@ -205,6 +207,29 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Largest sum of q^rank over the swept moduli that the oracle may enumerate.
+_ORACLE_POINT_BUDGET = 10**9
+
+
+def _oracle_moduli(info, n: int, q_max: int) -> range:
+    """The moduli the oracle sweep checks: from max(1, n(h-1)), where the
+    count provably equals the formula, up to ``q_max``, within the budget."""
+    bound = oracle_agreement_bound(info, n)
+    lo = max(1, bound)
+    if q_max < lo:
+        raise ValueError(
+            f"--q-max must be >= 1 and >= the oracle agreement bound "
+            f"n(h-1) = {bound} for {info.label} n={n}"
+        )
+    qs = range(lo, q_max + 1)
+    if any(total > _ORACLE_POINT_BUDGET for total in accumulate(q**info.rank for q in qs)):
+        raise ValueError(
+            f"oracle sweep over q = {lo}..{q_max} needs more than "
+            f"{_ORACLE_POINT_BUDGET} points (sum of q^{info.rank}); lower --q-max"
+        )
+    return qs
+
+
 def _oracle_row(label: str, n: int, q: int):
     info = catalog(label)
     formula = char_quasi(info, n).eval(q)
@@ -215,8 +240,8 @@ def _oracle_row(label: str, n: int, q: int):
 def cmd_verify(args) -> int:
     info = catalog(args.type)
     n = args.n
-    if args.mode in ("oracle", "both") and args.q_max < 1:
-        raise ValueError("--q-max must be >= 1 for --mode oracle or both")
+    if args.mode in ("oracle", "both"):
+        qs = _oracle_moduli(info, n, args.q_max)
     checks: dict = {}
     record: dict = {
         "command": "verify",
@@ -243,7 +268,7 @@ def cmd_verify(args) -> int:
                 first_failure = {"check": name, "n": n}
 
     if args.mode in ("oracle", "both"):
-        qs = list(range(1, args.q_max + 1))
+        record["oracle_moduli"] = [qs.start, qs.stop - 1]
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(
@@ -283,6 +308,8 @@ def cmd_verify(args) -> int:
 
 def cmd_ehrhart(args) -> int:
     info = catalog(args.type)
+    if args.q_max < 0:
+        raise ValueError("--q-max must be >= 0")
     f = ehrhart_quasi(info)
     rows = []
     all_ok = True
@@ -479,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--q-max",
         type=int,
         default=12,
-        help="largest modulus for the counting oracle, at least 1 (default: 12)",
+        help="largest modulus for the oracle sweep from max(1, n(h-1)) (default: 12)",
     )
     p_verify.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p_verify.set_defaults(func=cmd_verify)
@@ -490,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--q-max",
         type=int,
         default=None,
-        help="largest dilation factor (default: 3 * period)",
+        help="largest dilation factor, at least 0 (default: 3 * period)",
     )
     p_ehr.set_defaults(func=cmd_ehrhart)
 

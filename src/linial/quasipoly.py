@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .ratpoly import RatPoly, compose_power
 
@@ -174,83 +174,86 @@ def sigma_pow(f: QuasiPoly, k: int) -> QuasiPoly:
 
 def tilde(f: QuasiPoly, k: int) -> QuasiPoly:
     """Average of ``f`` over the orbit of sigma^k, taken at f's minimal
-    period n; the result's period divides gcd(k, n)."""
+    period n.
+
+    The orbit of slot r is the coset r + gZ/n with g = gcd(k, n), so slot r
+    of the average is (g/n) * sum of the constituents at slots j = r (mod g):
+    g sums of n/g terms.  The result has period dividing g and is returned
+    at its minimal period.
+    """
     f = minimal_period(f)
     n = f.period
-    inv = Fraction(1, n)
-    slots = []
-    for r in range(n):
-        acc = RatPoly.zero()
-        for i in range(n):
-            acc = acc + f.constituents[(r - i * k) % n]
-        slots.append(acc.scale(inv))
-    return minimal_period(QuasiPoly(n, tuple(slots)))
+    g = math.gcd(k, n)
+    scale = Fraction(g, n)
+    slots = tuple(
+        sum(f.constituents[r::g], RatPoly.zero()).scale(scale) for r in range(g)
+    )
+    return minimal_period(QuasiPoly(g, slots))
 
 
 # ---------------------------------------------------------------------------
 # Operator application.
 #
-# Hot path for the whole package: the E8 sweeps apply operators with ~30
-# coefficients to period-60 quasi-polynomials thousands of times.  All the
-# rational bookkeeping is therefore hoisted out: constituents and operator
-# coefficients are scaled to a common integer denominator once, argument
-# shifts run on integer arrays, and Fractions are rebuilt only at the end.
+# Hot path for the whole package: every characteristic polynomial is one
+# slot of an operator with ~30 coefficients applied to a period-rho
+# quasi-polynomial.  All the rational bookkeeping is therefore hoisted out:
+# ``_integer_form`` scales the constituents to one common denominator,
+# ``_integer_operator`` does the same for the operator coefficients,
+# ``_operator_slot`` runs the argument shifts of one result slot on integer
+# rows and rebuilds Fractions only for that slot.  ``apply_S`` and
+# ``apply_Sbar`` loop it over every slot; ``char_poly`` calls it once on
+# L_Phi's cached integer form.
 
 
-def _integer_rows(polys: Sequence[RatPoly], width: int, den: int) -> list[list[int]]:
-    rows = []
-    for p in polys:
-        row = [0] * width
-        for i, c in enumerate(p.coeffs):
-            row[i] = int(c * den)
-        rows.append(row)
-    return rows
+def _integer_form(f: QuasiPoly) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``f`` at its minimal period as ``(den, rows)``: slot r is
+    ``rows[r] / den``, every row padded with zeros to degree + 1."""
+    f = minimal_period(f)
+    deg = f.degree
+    width = 0 if deg == float("-inf") else int(deg) + 1
+    den = math.lcm(*(c.denominator for p in f.constituents for c in p.coeffs), 1)
+    rows = tuple(
+        tuple(int(c * den) for c in p.coeffs) + (0,) * (width - len(p.coeffs))
+        for p in f.constituents
+    )
+    return den, rows
+
+
+def _integer_operator(op: OperatorPoly) -> tuple[int, tuple[int, ...], int]:
+    """``op`` as ``(den, a, m)``: ``sum_k (a[k] / den) S^(m k)``."""
+    den = math.lcm(*(c.denominator for c in op.coeffs.coeffs), 1)
+    return den, tuple(int(c * den) for c in op.coeffs.coeffs), op.stride
+
+
+def _operator_slot(form, op_form, r: int, rotate: bool) -> RatPoly:
+    """Slot r of ``sum_k a_k S^(m k) f`` (``rotate``) or of its S-bar variant,
+    from the integer forms of f and of the operator."""
+    den_f, rows = form
+    den_a, a_int, m = op_form
+    n = len(rows)
+    width = len(rows[0])
+    acc = [0] * width
+    for k, a in enumerate(a_int):
+        if a == 0:
+            continue
+        s = m * k
+        src = rows[(r - s) % n] if rotate else rows[r]
+        # a * src(t - s), by repeated synthetic division (Taylor shift)
+        p = [a * c for c in src]
+        for i in range(width - 1):
+            for j in range(width - 2, i - 1, -1):
+                p[j] -= s * p[j + 1]
+        for j in range(width):
+            acc[j] += p[j]
+    full_den = den_f * den_a
+    return RatPoly(Fraction(v, full_den) for v in acc)
 
 
 def _apply_operator(f: QuasiPoly, op: OperatorPoly, rotate: bool) -> QuasiPoly:
-    f = minimal_period(f)
-    n = f.period
-    m = op.stride
-    a_coeffs = op.coeffs.coeffs
-    deg = f.degree
-    if not a_coeffs or deg == float("-inf"):
-        return QuasiPoly.zero(n)
-    width = int(deg) + 1
-
-    den_f = math.lcm(*(c.denominator for p in f.constituents for c in p.coeffs), 1)
-    den_a = math.lcm(*(c.denominator for c in a_coeffs), 1)
-    rows = _integer_rows(f.constituents, width, den_f)
-    a_int = [int(c * den_a) for c in a_coeffs]
-    comb = [[math.comb(i, j) for j in range(i + 1)] for i in range(width)]
-    full_den = den_f * den_a
-
-    slots = []
-    for r in range(n):
-        acc = [0] * width
-        for k, a in enumerate(a_int):
-            if a == 0:
-                continue
-            s = m * k
-            src = rows[(r - s) % n] if rotate else rows[r]
-            if s == 0:
-                for j in range(width):
-                    if src[j]:
-                        acc[j] += a * src[j]
-                continue
-            # src(t - s): coefficient j picks up C(i,j) * (-s)^(i-j) from i >= j
-            for i in range(width):
-                ci = src[i]
-                if not ci:
-                    continue
-                pai = a * ci
-                acc[i] += pai
-                pw = 1
-                ci_row = comb[i]
-                for j in range(i - 1, -1, -1):
-                    pw *= -s
-                    acc[j] += pai * ci_row[j] * pw
-        slots.append(RatPoly(tuple(Fraction(v, full_den) for v in acc)))
-    return QuasiPoly(n, tuple(slots))
+    form = _integer_form(f)
+    op_form = _integer_operator(op)
+    n = len(form[1])
+    return QuasiPoly(n, tuple(_operator_slot(form, op_form, r, rotate) for r in range(n)))
 
 
 def apply_S(f: QuasiPoly, op: OperatorPoly) -> QuasiPoly:

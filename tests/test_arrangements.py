@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from conftest import SMALL_TYPES
+from conftest import ALL_TYPES, SMALL_TYPES
 from linial.arrangements import (
     char_poly,
     char_quasi,
@@ -18,7 +18,9 @@ from linial.arrangements import (
     verify_rad_theorem,
     verify_shift_relation,
 )
-from linial.quasipoly import minimal_period
+from linial.ehrhart import ehrhart_quasi
+from linial.eulerian import generalized_eulerian
+from linial.quasipoly import OperatorPoly, apply_S, minimal_period
 from linial.ratpoly import RatPoly, render_poly
 from linial.rootsystems import catalog
 
@@ -146,10 +148,22 @@ def test_shift_relation_needs_large_modulus():
 
 
 def test_char_poly_is_residue_one_constituent():
-    info = catalog("G2")
-    n = 5
-    f = minimal_period(char_quasi(info, n))
-    assert char_poly(info, n) == f.constituents[1 % f.period]
+    # the single-slot fast path against the general all-slot apply_S, and
+    # pointwise against the definition sum_k a_k L(t - (n+1)k) at t = 1 mod rho
+    for label in ALL_TYPES:
+        info = catalog(label)
+        rho = info.period_rho
+        L = ehrhart_quasi(info)
+        a = generalized_eulerian(info)
+        for n in sorted({0, 1, rho - 1, rho, 2 * rho + 1}):
+            p = char_poly(info, n)
+            f = minimal_period(apply_S(L, OperatorPoly(a, stride=n + 1)))
+            assert p.coeffs == f.constituents[1 % f.period].coeffs, (label, n)
+            for t in range(1, 1 + rho * (info.rank + 1), rho):
+                value = sum(c * L.eval(t - (n + 1) * k) for k, c in enumerate(a.coeffs))
+                assert p(t) == value, (label, n, t)
+    with pytest.raises(ValueError):
+        char_poly(catalog("G2"), -1)
 
 
 GOLDEN_SPOT_CHECKS = [

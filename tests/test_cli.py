@@ -103,13 +103,54 @@ def test_verify_gcd_prime_key_only_when_coprime(capsys):
     assert doc["period"] == 1
 
 
-def test_verify_oracle_reports_first_failure(capsys):
+def test_verify_oracle_reports_first_failure(capsys, monkeypatch):
+    # A2 n=2 sweeps q = 4..8; a count that is off by one at q = 6 must be
+    # reported, which only happens if every q is compared with the formula
+    import linial.cli
+
+    real = linial.cli.oracle_count
+    monkeypatch.setattr(
+        linial.cli, "oracle_count", lambda info, a, b, q: real(info, a, b, q) + (q == 6)
+    )
     code, out, _ = run_cli(capsys, "verify", "A2", "2", "--mode", "both", "--q-max", "8")
     assert code == 1
     doc = json.loads(out)
+    assert doc["oracle_moduli"] == [4, 8]
     assert doc["checks"]["oracle"] is False
-    assert doc["first_failure"]["check"] == "oracle"
-    assert doc["first_failure"]["q"] == 1
+    assert doc["checks"]["main"] is True
+    failure = doc["first_failure"]
+    assert failure["check"] == "oracle" and failure["q"] == 6
+    assert failure["count"] == int(failure["formula"]) + 1
+
+
+def test_verify_readme_oracle_example_passes(capsys):
+    # the README's example: B2 n=1 sweeps q = n(h-1) = 3 .. 9
+    code, out, err = run_cli(capsys, "verify", "B2", "1", "--mode", "both", "--q-max", "9")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["oracle_moduli"] == [3, 9]
+    assert all(doc["checks"].values()) and doc["checks"]["oracle"] is True
+    assert "first_failure" not in doc
+
+
+@pytest.mark.parametrize("mode", ["oracle", "both"])
+def test_verify_oracle_rejects_q_max_below_bound(capsys, mode):
+    # B2 n=2 agrees from q = 6 on, so --q-max 5 leaves no modulus to check
+    code, out, err = run_cli(capsys, "verify", "B2", "2", "--mode", mode, "--q-max", "5")
+    assert code == 2
+    assert out == ""
+    assert "agreement bound n(h-1) = 6" in err
+
+
+def test_verify_oracle_point_budget(capsys):
+    # E8 n=1 needs q >= 29, i.e. at least 29^8 points: refused before counting
+    code, out, err = run_cli(capsys, "verify", "E8", "1", "--mode", "oracle", "--q-max", "29")
+    assert code == 2
+    assert out == ""
+    assert "1000000000 points" in err
+    # the budget counts the whole sweep: each modulus alone fits, the sum does not
+    code, _, err = run_cli(capsys, "verify", "A2", "1", "--mode", "oracle", "--q-max", "2000")
+    assert code == 2 and "points" in err
 
 
 def test_verify_oracle_valid_regime_passes(capsys):
@@ -149,6 +190,14 @@ def test_ehrhart_json(capsys):
     assert code == 0
     assert doc["all_match"] is True
     assert doc["rows"][3] == {"q": 3, "count": 10, "formula": "10", "match": True}
+
+
+def test_ehrhart_rejects_negative_q_max(capsys):
+    # --q-max -1 would compare no dilation at all and report a vacuous match
+    code, out, err = run_cli(capsys, "ehrhart", "G2", "--q-max", "-1", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "--q-max must be >= 0" in err
 
 
 def test_decompose_json(capsys):

@@ -6,6 +6,8 @@ from math import gcd
 
 import pytest
 
+from conftest import ALL_TYPES
+from linial.ehrhart import ehrhart_quasi
 from linial.quasipoly import (
     OperatorPoly,
     QuasiPoly,
@@ -17,9 +19,11 @@ from linial.quasipoly import (
     quasipoly_from_json,
     quasipoly_to_json,
     sigma_pow,
+    sorted_divisors,
     tilde,
 )
 from linial.ratpoly import RatPoly, cyclotomic_type, divides
+from linial.rootsystems import catalog
 
 
 def qp(*constituent_coeff_lists):
@@ -211,6 +215,43 @@ def test_tilde_gcd_and_shift_invariance():
         assert minimal_period(tilde(f, k)).period in [
             d for d in range(1, n + 1) if gcd(k, n) % d == 0
         ]
+
+
+def orbit_average(f, k):
+    """tilde by its definition: n^2 slot additions over the sigma^k orbit."""
+    f = minimal_period(f)
+    n = f.period
+    inv = Fraction(1, n)
+    slots = []
+    for r in range(n):
+        acc = RatPoly.zero()
+        for i in range(n):
+            acc = acc + f.constituents[(r - i * k) % n]
+        slots.append(acc.scale(inv))
+    return minimal_period(QuasiPoly(n, tuple(slots)))
+
+
+def assert_same_quasipoly(a, b):
+    # same function and the same minimal-period representation
+    assert a.period == b.period and a.constituents == b.constituents
+
+
+def test_tilde_matches_orbit_average_random():
+    rng = random.Random(111)
+    for _ in range(80):
+        f = random_quasipoly(rng)
+        n = minimal_period(f).period
+        for k in (0, 1, rng.randint(-2 * n, -1), rng.randint(2, 2 * n + 3), n, n + 1):
+            assert_same_quasipoly(tilde(f, k), orbit_average(f, k))
+
+
+def test_tilde_matches_orbit_average_alcove():
+    for label in ALL_TYPES:
+        info = catalog(label)
+        L = ehrhart_quasi(info)
+        rho = info.period_rho
+        for k in sorted_divisors(rho) + [rho + 1]:
+            assert_same_quasipoly(tilde(L, k), orbit_average(L, k))
 
 
 def test_tilde_full_period_is_identity():
