@@ -29,16 +29,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .ehrhart import ehrhart_quasi
 from .eulerian import generalized_eulerian
 from .quasipoly import (
     OperatorPoly,
     QuasiPoly,
-    _integer_form,
-    _integer_operator,
-    _operator_slot,
+    _operator_rows,
     apply_S,
     apply_Sbar,
     minimal_period,
@@ -70,12 +66,6 @@ def char_quasi(info: RootSystemInfo, n: int) -> QuasiPoly:
 
 
 @lru_cache(maxsize=None)
-def _ehrhart_form(info: RootSystemInfo):
-    """L_Phi's integer form, shared by every ``char_poly`` of the type."""
-    return _integer_form(ehrhart_quasi(info))
-
-
-@lru_cache(maxsize=None)
 def char_poly(info: RootSystemInfo, n: int) -> RatPoly:
     """The characteristic polynomial: the constituent of ``char_quasi`` at
     residue 1, computed as that one slot of R_Phi(S^(n+1)) applied to L_Phi
@@ -83,8 +73,9 @@ def char_poly(info: RootSystemInfo, n: int) -> RatPoly:
     if n < 0:
         raise ValueError("n must be >= 0")
     op = OperatorPoly(generalized_eulerian(info), stride=n + 1)
-    slot = 1 % info.period_rho  # rho is L_Phi's minimal period
-    return _operator_slot(_ehrhart_form(info), _integer_operator(op), slot, rotate=True)
+    L = ehrhart_quasi(info)
+    den, (row,) = _operator_rows(L, op, (1 % L.period,), rotate=True)
+    return RatPoly(Fraction(c, den) for c in row)
 
 
 def oracle_agreement_bound(info: RootSystemInfo, n: int) -> int:
@@ -110,6 +101,8 @@ def oracle_count(info: RootSystemInfo, a: int, b: int, q: int) -> int:
     ell = info.rank
     if b == a - 1:
         return q**ell
+    import numpy as np
+
     forbidden = np.array(sorted({k % q for k in range(a, b + 1)}), dtype=np.int64)
     roots = np.array([r.coords for r in positive_roots(info)], dtype=np.int64)
     total = q**ell

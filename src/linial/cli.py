@@ -209,6 +209,8 @@ def cmd_table(args) -> int:
 
 # Largest sum of q^rank over the swept moduli that the oracle may enumerate.
 _ORACLE_POINT_BUDGET = 10**9
+# Largest dilation factor that ``ehrhart`` compares.
+_EHRHART_Q_MAX = 10**5
 
 
 def _oracle_moduli(info, n: int, q_max: int) -> range:
@@ -308,8 +310,8 @@ def cmd_verify(args) -> int:
 
 def cmd_ehrhart(args) -> int:
     info = catalog(args.type)
-    if args.q_max < 0:
-        raise ValueError("--q-max must be >= 0")
+    if not 0 <= args.q_max <= _EHRHART_Q_MAX:
+        raise ValueError(f"--q-max must be >= 0 and <= {_EHRHART_Q_MAX}")
     f = ehrhart_quasi(info)
     rows = []
     all_ok = True
@@ -517,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--q-max",
         type=int,
         default=None,
-        help="largest dilation factor, at least 0 (default: 3 * period)",
+        help=f"largest dilation factor, 0..{_EHRHART_Q_MAX} (default: 3 * period)",
     )
     p_ehr.set_defaults(func=cmd_ehrhart)
 

@@ -4,17 +4,17 @@ machinery that turns rational series into quasi-polynomials.
 ``L(q)`` counts x in Z^l (all coordinates >= 0) with c_1 x_1 + ... + c_l x_l
 <= q, where the c_i are the marks; its generating series is
 1 / prod_{i=0..l} (1 - x^{c_i}) (the extra c_0 = 1 factor accumulates the
-inequality).  The quasi-polynomial is recovered by exact interpolation per
-residue class, with a spare node per class as a consistency check.
+inequality).  The quasi-polynomial is recovered per residue class by Newton
+interpolation on the integer series over one common denominator, with a
+spare node per class as a consistency check.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
-from .quasipoly import QuasiPoly, OperatorPoly, apply_S, minimal_period, sorted_divisors
+from .quasipoly import QuasiPoly, OperatorPoly, _make, apply_S, minimal_period, sorted_divisors
 from .ratpoly import RatPoly, poly_divmod, poly_gcd
 from .rootsystems import RootSystemInfo
 
@@ -84,18 +84,6 @@ def denumerant_count_slow(info: RootSystemInfo, q: int) -> int:
 # -- interpolation -----------------------------------------------------------
 
 
-def _newton_interpolate(start: int, step: int, values: list[Fraction]) -> RatPoly:
-    """Polynomial through (start + j*step, values[j]) by forward differences."""
-    diffs = [Fraction(v) for v in values]
-    poly = RatPoly.zero()
-    term = RatPoly.one()
-    for m in range(len(values)):
-        poly = poly + term.scale(diffs[0] / (math.factorial(m) * step**m))
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        term = term * RatPoly((-(start + m * step), 1))
-    return poly
-
-
 @lru_cache(maxsize=None)
 def ehrhart_quasi(info: RootSystemInfo) -> QuasiPoly:
     """The alcove Ehrhart quasi-polynomial: degree = rank, period = rho
@@ -107,29 +95,43 @@ def series_to_quasipoly(
     numerator: RatPoly, denominator_spec: list[tuple[int, int]]
 ) -> QuasiPoly:
     """Quasi-polynomial whose generating series is
-    numerator / prod_d (1 - x^d)^mult, given as (d, mult) pairs."""
+    numerator / prod_d (1 - x^d)^mult, given as (d, mult) pairs.
+
+    The series is expanded over the integers (times the numerator's common
+    denominator nden), and slot r is the Newton interpolant through the
+    nodes r, r + p, ..., r + dbound p, in integers over nden dbound! p^dbound.
+    """
     total_deg = sum(d * mult for d, mult in denominator_spec)
     if not denominator_spec or numerator.degree >= total_deg:
         raise ValueError("improper rational function")
     p = math.lcm(*(d for d, _ in denominator_spec))
     dbound = sum(mult for _, mult in denominator_spec) - 1
     length = p * (dbound + 3)
-    series = [Fraction(0)] * length
+    nden = math.lcm(*(c.denominator for c in numerator.coeffs), 1)
+    series = [0] * length
     for i, c in enumerate(numerator.coeffs):
-        series[i] = c
+        series[i] = c.numerator * (nden // c.denominator)
     for d, mult in denominator_spec:
         for _ in range(mult):
             for j in range(d, length):
                 series[j] += series[j - d]
-    slots = []
+    scale = math.factorial(dbound) * p**dbound
+    rows = []
     for r in range(p):
-        vals = [series[r + j * p] for j in range(dbound + 1)]
-        poly = _newton_interpolate(r, p, vals)
+        vals = series[r : r + (dbound + 1) * p : p]
+        newton = []  # scale * (m-th forward difference) / (m! p^m)
+        for m in range(dbound + 1):
+            newton.append(vals[0] * (scale // (math.factorial(m) * p**m)))
+            vals = [v - u for u, v in zip(vals, vals[1:])]
+        row = []  # nested form: newton[m] + (t - r - m p) * (the terms above m)
+        for m in range(dbound, -1, -1):
+            row = [u - (r + m * p) * v for u, v in zip([0] + row, row + [0])]
+            row[0] += newton[m]
         spare = r + (dbound + 1) * p
-        if poly(spare) != series[spare]:
+        if sum(c * spare**i for i, c in enumerate(row)) != series[spare] * scale:
             raise PeriodConsistencyError(f"residue {r} misses node {spare}")
-        slots.append(poly)
-    return QuasiPoly(p, tuple(slots))
+        rows.append(row)
+    return _make(p, nden * scale, rows)
 
 
 # -- partial fractions ---------------------------------------------------------

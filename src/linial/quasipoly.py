@@ -1,10 +1,15 @@
 """Quasi-polynomials: periods, constituents, the cyclic sigma action,
 tilde averaging, and the shift operators S and S-bar.
 
-A quasi-polynomial of period ``n`` stores one polynomial constituent per
+A quasi-polynomial of period ``n`` has one polynomial constituent per
 residue class mod n; slot ``r`` answers for arguments ``t = r (mod n)``.
 (One-based constituent numbering found in the literature maps onto this as
 "constituent j" <-> slot ``j mod n``, so the n-th constituent is slot 0.)
+
+Each is stored in one canonical integer form, slot r = ``rows[r] / den``:
+den > 0 and coprime to the entries, rows of one width without an all-zero
+top column.  Every operation works on these int tuples; ``constituents``
+derives :class:`RatPoly` slots only for callers that ask.
 
 The shift operator acts by ``(S f)(t) = f(t - 1)``; an ``OperatorPoly``
 bundles a coefficient polynomial with a stride m and stands for
@@ -18,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, zip_longest
+from operator import add, mul
 from typing import Iterable
 
 from .ratpoly import RatPoly, compose_power
@@ -38,12 +45,13 @@ __all__ = [
 
 
 class QuasiPoly:
-    """Immutable quasi-polynomial: ``period`` slots of :class:`RatPoly`."""
+    """Immutable quasi-polynomial: ``period`` slots, slot r = rows[r] / den."""
 
-    __slots__ = ("period", "constituents")
+    __slots__ = ("period", "den", "rows")
 
     period: int
-    constituents: tuple[RatPoly, ...]
+    den: int
+    rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, period: int, constituents: Iterable[RatPoly]):
         cs = tuple(constituents)
@@ -51,8 +59,10 @@ class QuasiPoly:
             raise ValueError("period must be >= 1")
         if len(cs) != period:
             raise ValueError(f"expected {period} constituents, got {len(cs)}")
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "constituents", cs)
+        den = math.lcm(*(c.denominator for p in cs for c in p.coeffs), 1)
+        rows = [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in cs]
+        f = _make(period, den, rows)
+        _set(self, f.period, f.den, f.rows)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("QuasiPoly is immutable")
@@ -64,34 +74,43 @@ class QuasiPoly:
 
     @classmethod
     def zero(cls, period: int = 1) -> "QuasiPoly":
-        return cls(period, tuple(RatPoly.zero() for _ in range(period)))
+        return cls(period, (RatPoly.zero(),) * period)
+
+    @property
+    def constituents(self) -> tuple[RatPoly, ...]:
+        """The slots as :class:`RatPoly`, derived from ``(den, rows)``."""
+        den = self.den
+        return tuple(RatPoly(Fraction(c, den) for c in row) for row in self.rows)
 
     def eval(self, t: int) -> Fraction:
         """Value at the integer ``t`` (constituent chosen by ``t mod period``)."""
-        return self.constituents[t % self.period](t)
+        acc = 0
+        for c in reversed(self.rows[t % self.period]):
+            acc = acc * t + c
+        return Fraction(acc, self.den)
 
     @property
     def degree(self) -> int | float:
-        return max(c.degree for c in self.constituents)
+        width = len(self.rows[0])
+        return width - 1 if width else float("-inf")
 
     def at_period(self, n: int) -> "QuasiPoly":
         """Re-materialize at a period ``n`` that is a multiple of the current one."""
         if n % self.period:
             raise ValueError("new period must be a multiple of the old")
-        return QuasiPoly(n, tuple(self.constituents[r % self.period] for r in range(n)))
+        return _raw(n, self.den, self.rows * (n // self.period))
 
     def scale(self, c: Fraction | int) -> "QuasiPoly":
-        return QuasiPoly(self.period, tuple(p.scale(c) for p in self.constituents))
+        num, den = c.numerator, c.denominator
+        return _make(self.period, self.den * den, [[num * v for v in row] for row in self.rows])
 
     def __add__(self, other: "QuasiPoly") -> "QuasiPoly":
         n = math.lcm(self.period, other.period)
-        return QuasiPoly(
-            n,
-            tuple(
-                self.constituents[r % self.period] + other.constituents[r % other.period]
-                for r in range(n)
-            ),
-        )
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        pairs = ((self.rows[r % self.period], other.rows[r % other.period]) for r in range(n))
+        rows = [[a * u + b * v for u, v in zip_longest(x, y, fillvalue=0)] for x, y in pairs]
+        return _make(n, den, rows)
 
     def __sub__(self, other: "QuasiPoly") -> "QuasiPoly":
         return self + other.scale(-1)
@@ -102,14 +121,41 @@ class QuasiPoly:
             return NotImplemented
         a = minimal_period(self)
         b = minimal_period(other)
-        return a.period == b.period and a.constituents == b.constituents
+        return a.period == b.period and a.den == b.den and a.rows == b.rows
 
     def __hash__(self) -> int:
         f = minimal_period(self)
-        return hash((f.period, f.constituents))
+        return hash((f.period, f.den, f.rows))
 
     def __repr__(self) -> str:
         return f"QuasiPoly(period={self.period}, constituents={list(self.constituents)!r})"
+
+
+def _set(f: QuasiPoly, *form) -> QuasiPoly:
+    for name, value in zip(QuasiPoly.__slots__, form):
+        object.__setattr__(f, name, value)
+    return f
+
+
+def _raw(period: int, den: int, rows) -> QuasiPoly:
+    """A QuasiPoly from a form that is canonical already."""
+    return _set(object.__new__(QuasiPoly), period, den, rows)
+
+
+def _make(period: int, den: int, rows) -> QuasiPoly:
+    """A QuasiPoly from any ``rows / den``: brought to rows of one width
+    without an all-zero top column, den > 0 and coprime to the entries."""
+    width = 0
+    for row in rows:
+        k = len(row)
+        while k > width and not row[k - 1]:
+            k -= 1
+        width = max(width, k)
+    if not width:
+        return _raw(period, 1, ((),) * period)
+    rows = [list(row[:width]) + [0] * (width - len(row)) for row in rows]
+    g = math.gcd(den, *chain.from_iterable(rows)) * (1 if den > 0 else -1)
+    return _raw(period, den // g, tuple(tuple(v // g for v in row) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -135,10 +181,10 @@ def operator_product(*factors: tuple[RatPoly, int]) -> OperatorPoly:
 
 def minimal_period(f: QuasiPoly) -> QuasiPoly:
     """Smallest-period representation equal to ``f`` pointwise."""
-    n = f.period
+    n, rows = f.period, f.rows
     for d in sorted_divisors(n):
-        if all(f.constituents[r] == f.constituents[r % d] for r in range(n)):
-            return QuasiPoly(d, f.constituents[:d]) if d != n else f
+        if rows[d:] == rows[: n - d]:
+            return _raw(d, f.den, rows[:d]) if d != n else f
     return f  # pragma: no cover - n itself always matches
 
 
@@ -157,11 +203,8 @@ def sorted_divisors(n: int) -> list[int]:
 def has_gcd_property(f: QuasiPoly) -> bool:
     """True iff constituent r coincides with constituent gcd(r, n) for
     r = 1..n, at f's stored period n."""
-    n = f.period
-    return all(
-        f.constituents[r % n] == f.constituents[math.gcd(r, n) % n]
-        for r in range(1, n + 1)
-    )
+    n, rows = f.period, f.rows
+    return all(rows[r % n] == rows[math.gcd(r, n) % n] for r in range(1, n + 1))
 
 
 def sigma_pow(f: QuasiPoly, k: int) -> QuasiPoly:
@@ -169,7 +212,7 @@ def sigma_pow(f: QuasiPoly, k: int) -> QuasiPoly:
     minimal period: new slot r holds old constituent (r - k) mod n."""
     f = minimal_period(f)
     n = f.period
-    return QuasiPoly(n, tuple(f.constituents[(r - k) % n] for r in range(n)))
+    return _raw(n, f.den, tuple(f.rows[(r - k) % n] for r in range(n)))
 
 
 def tilde(f: QuasiPoly, k: int) -> QuasiPoly:
@@ -178,82 +221,67 @@ def tilde(f: QuasiPoly, k: int) -> QuasiPoly:
 
     The orbit of slot r is the coset r + gZ/n with g = gcd(k, n), so slot r
     of the average is (g/n) * sum of the constituents at slots j = r (mod g):
-    g sums of n/g terms.  The result has period dividing g and is returned
-    at its minimal period.
+    g column sums of n/g rows, over the denominator den * n/g.  The result
+    has period dividing g and is returned at its minimal period.
     """
     f = minimal_period(f)
     n = f.period
     g = math.gcd(k, n)
-    scale = Fraction(g, n)
-    slots = tuple(
-        sum(f.constituents[r::g], RatPoly.zero()).scale(scale) for r in range(g)
-    )
-    return minimal_period(QuasiPoly(g, slots))
+    rows = [[sum(col) for col in zip(*f.rows[r::g])] for r in range(g)]
+    return minimal_period(_make(g, f.den * (n // g), rows))
 
 
 # ---------------------------------------------------------------------------
-# Operator application.
+# Operator application: the hot path of the package.  With s_k = m k, the
+# terms of sum_k a_k S^(m k) f that read the same source row c combine as
 #
-# Hot path for the whole package: every characteristic polynomial is one
-# slot of an operator with ~30 coefficients applied to a period-rho
-# quasi-polynomial.  All the rational bookkeeping is therefore hoisted out:
-# ``_integer_form`` scales the constituents to one common denominator,
-# ``_integer_operator`` does the same for the operator coefficients,
-# ``_operator_slot`` runs the argument shifts of one result slot on integer
-# rows and rebuilds Fractions only for that slot.  ``apply_S`` and
-# ``apply_Sbar`` loop it over every slot; ``char_poly`` calls it once on
-# L_Phi's cached integer form.
+#     sum_k a_k c(t - s_k) = sum_p t^p sum_e C(p+e, e) c_{p+e} M_e,
+#     M_e = sum_k a_k (-s_k)^e,
+#
+# so ``_operator_rows`` takes power moments once per class d = s_k mod n (a
+# single class for S-bar) and binomial-weighted columns once per source row;
+# a (slot, class) pair then costs one pass over the flattened (p, e) terms,
+# not one shift per k, all on integers.
+# ``apply_S``/``apply_Sbar`` request every slot; ``char_poly`` requests one.
 
 
-def _integer_form(f: QuasiPoly) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``f`` at its minimal period as ``(den, rows)``: slot r is
-    ``rows[r] / den``, every row padded with zeros to degree + 1."""
-    f = minimal_period(f)
-    deg = f.degree
-    width = 0 if deg == float("-inf") else int(deg) + 1
-    den = math.lcm(*(c.denominator for p in f.constituents for c in p.coeffs), 1)
-    rows = tuple(
-        tuple(int(c * den) for c in p.coeffs) + (0,) * (width - len(p.coeffs))
-        for p in f.constituents
-    )
-    return den, rows
-
-
-def _integer_operator(op: OperatorPoly) -> tuple[int, tuple[int, ...], int]:
-    """``op`` as ``(den, a, m)``: ``sum_k (a[k] / den) S^(m k)``."""
-    den = math.lcm(*(c.denominator for c in op.coeffs.coeffs), 1)
-    return den, tuple(int(c * den) for c in op.coeffs.coeffs), op.stride
-
-
-def _operator_slot(form, op_form, r: int, rotate: bool) -> RatPoly:
-    """Slot r of ``sum_k a_k S^(m k) f`` (``rotate``) or of its S-bar variant,
-    from the integer forms of f and of the operator."""
-    den_f, rows = form
-    den_a, a_int, m = op_form
-    n = len(rows)
-    width = len(rows[0])
-    acc = [0] * width
-    for k, a in enumerate(a_int):
-        if a == 0:
-            continue
-        s = m * k
-        src = rows[(r - s) % n] if rotate else rows[r]
-        # a * src(t - s), by repeated synthetic division (Taylor shift)
-        p = [a * c for c in src]
-        for i in range(width - 1):
-            for j in range(width - 2, i - 1, -1):
-                p[j] -= s * p[j + 1]
-        for j in range(width):
-            acc[j] += p[j]
-    full_den = den_f * den_a
-    return RatPoly(Fraction(v, full_den) for v in acc)
+def _operator_rows(f: QuasiPoly, op: OperatorPoly, slots, rotate: bool):
+    """``(den, rows)`` of the listed slots of ``sum_k a_k S^(m k) f``
+    (``rotate``) or of its S-bar variant, at f's stored period."""
+    n, width, cs = f.period, len(f.rows[0]), op.coeffs.coeffs
+    den_a = math.lcm(*(c.denominator for c in cs), 1)
+    moments: dict[int, list[int]] = {}
+    for k, c in enumerate(cs):
+        ak, s = c.numerator * (den_a // c.denominator), op.stride * k
+        if ak:
+            mom = moments.setdefault(s % n if rotate else 0, [0] * width)
+            for e in range(width):
+                mom[e] += ak
+                ak *= -s
+    # the (p, e) terms with p + e < width, flattened p-major
+    pe = [(p, e) for p in range(width) for e in range(width - p)]
+    bounds = list(accumulate(range(width, 0, -1), initial=0))
+    weights = [math.comb(p + e, e) for p, e in pe]
+    moments = {d: [mom[e] for _, e in pe] for d, mom in moments.items()}
+    weighted: dict[int, list[int]] = {}
+    out = []
+    for r in slots:
+        acc = [0] * len(pe)
+        for d, mom in moments.items():
+            j = (r - d) % n
+            cols = weighted.get(j)
+            if cols is None:
+                row = f.rows[j]
+                cols = weighted[j] = [row[p + e] * w for (p, e), w in zip(pe, weights)]
+            acc = list(map(add, acc, map(mul, cols, mom)))
+        out.append([sum(acc[bounds[p] : bounds[p + 1]]) for p in range(width)])
+    return f.den * den_a, out
 
 
 def _apply_operator(f: QuasiPoly, op: OperatorPoly, rotate: bool) -> QuasiPoly:
-    form = _integer_form(f)
-    op_form = _integer_operator(op)
-    n = len(form[1])
-    return QuasiPoly(n, tuple(_operator_slot(form, op_form, r, rotate) for r in range(n)))
+    f = minimal_period(f)
+    den, rows = _operator_rows(f, op, range(f.period), rotate)
+    return _make(f.period, den, rows)
 
 
 def apply_S(f: QuasiPoly, op: OperatorPoly) -> QuasiPoly:

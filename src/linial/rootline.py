@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .ratpoly import (
     RatPoly,
     derivative,
@@ -54,6 +52,8 @@ class RootReport:
 def _centred_roots(p: RatPoly) -> list[complex]:
     """Roots of a squarefree p with nonzero constant term: companion-matrix
     eigenvalues of p shifted exactly onto the centroid of its roots."""
+    import numpy as np
+
     deg = int(p.degree)
     a = -p.coeffs[-2] / (deg * p.leading)
     r = shift_argument(p, a)

@@ -5,9 +5,11 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+import linial.cli
 from linial.cli import main
 
 
@@ -198,6 +200,49 @@ def test_ehrhart_rejects_negative_q_max(capsys):
     assert code == 2
     assert out == ""
     assert "--q-max must be >= 0" in err
+
+
+def test_ehrhart_rejects_q_max_above_cap(capsys, monkeypatch):
+    # --q-max 300000000 used to run until killed; it must be refused before
+    # any count or evaluation starts
+    def no_work(*args):
+        raise AssertionError("ehrhart started work on a refused --q-max")
+
+    monkeypatch.setattr(linial.cli, "denumerant_count", no_work)
+    monkeypatch.setattr(linial.cli, "ehrhart_quasi", no_work)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "ehrhart", "A1", "--q-max", "300000000")
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert out == ""
+    assert f"<= {linial.cli._EHRHART_Q_MAX}" in err
+
+
+def test_ehrhart_q_max_cap_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(linial.cli, "_EHRHART_Q_MAX", 5)
+    code, out, _ = run_cli(capsys, "ehrhart", "G2", "--q-max", "5", "--format", "json")
+    assert code == 0
+    assert [row["q"] for row in json.loads(out)["rows"]] == list(range(6))
+    code, out, err = run_cli(capsys, "ehrhart", "G2", "--q-max", "6")
+    assert code == 2 and out == "" and "<= 5" in err
+
+
+def test_formula_commands_do_not_import_numpy():
+    # numpy is only for the oracle and the root finder
+    script = (
+        "import contextlib, io, sys, linial\n"
+        "from linial.cli import main\n"
+        "assert 'numpy' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['ehrhart', 'G2']), main(['decompose', 'F4']),\n"
+        "             main(['verify', 'B3', '2', '--mode', 'formula'])]\n"
+        "assert codes == [0, 0, 0], codes\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_decompose_json(capsys):

@@ -1,6 +1,7 @@
 """Alcove lattice-point counts, their quasi-polynomials, partial fractions,
 and the per-mark decomposition."""
 
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -17,7 +18,8 @@ from linial.ehrhart import (
     partial_fractions,
     series_to_quasipoly,
 )
-from linial.quasipoly import minimal_period, sigma_pow, tilde
+import linial.ehrhart
+from linial.quasipoly import QuasiPoly, minimal_period, sigma_pow, tilde
 from linial.ratpoly import RatPoly, cyclotomic_type
 from linial.rootsystems import catalog
 
@@ -114,6 +116,76 @@ def test_partial_fractions_rejects_bad_input():
         partial_fractions(RatPoly.monomial(5), [one_minus_x ** 2])  # improper
     with pytest.raises(ValueError):
         partial_fractions(RatPoly.one(), [RatPoly.one()])  # constant factor
+
+
+def _newton_interpolate(start, step, values):
+    """Polynomial through (start + j*step, values[j]) by forward differences."""
+    diffs = [Fraction(v) for v in values]
+    poly = RatPoly.zero()
+    term = RatPoly.one()
+    for m in range(len(values)):
+        poly = poly + term.scale(diffs[0] / (math.factorial(m) * step**m))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        term = term * RatPoly((-(start + m * step), 1))
+    return poly
+
+
+def reference_series_to_quasipoly(numerator, denominator_spec):
+    """series_to_quasipoly on a Fraction series with Fraction Newton
+    interpolation per residue class."""
+    p = math.lcm(*(d for d, _ in denominator_spec))
+    dbound = sum(mult for _, mult in denominator_spec) - 1
+    length = p * (dbound + 3)
+    series = [Fraction(0)] * length
+    for i, c in enumerate(numerator.coeffs):
+        series[i] = c
+    for d, mult in denominator_spec:
+        for _ in range(mult):
+            for j in range(d, length):
+                series[j] += series[j - d]
+    slots = []
+    for r in range(p):
+        slots.append(_newton_interpolate(r, p, [series[r + j * p] for j in range(dbound + 1)]))
+        spare = r + (dbound + 1) * p
+        assert slots[-1](spare) == series[spare]
+    return QuasiPoly(p, slots)
+
+
+def assert_same_constituents(a, b):
+    assert a.period == b.period and a.constituents == b.constituents
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_integer_interpolation_matches_fraction_newton(label, monkeypatch):
+    # every series_to_quasipoly call behind ehrhart_quasi and decompose_ehrhart
+    info = catalog(label)
+    spec = [(c, 1) for c in info.marks]
+    assert_same_constituents(
+        ehrhart_quasi(info), reference_series_to_quasipoly(RatPoly.one(), spec)
+    )
+    calls = []
+
+    def recording(numerator, denominator_spec):
+        result = series_to_quasipoly(numerator, denominator_spec)
+        calls.append((numerator, denominator_spec, result))
+        return result
+
+    monkeypatch.setattr(linial.ehrhart, "series_to_quasipoly", recording)
+    parts = decompose_ehrhart(info)
+    assert len(calls) == len(parts)
+    for numerator, denominator_spec, result in calls:
+        want = reference_series_to_quasipoly(numerator, denominator_spec)
+        assert_same_constituents(result, want)
+    if len(parts) > 1:  # the pieces have rational, non-integer numerators
+        assert any(c.denominator > 1 for numerator, _, _ in calls for c in numerator.coeffs)
+
+
+def test_series_to_quasipoly_rational_numerator():
+    # (1/3 + 5/2 x) / (1 - x)^2 (1 - x^3): the spare node holds on every class
+    num = RatPoly((Fraction(1, 3), Fraction(5, 2)))
+    spec = [(1, 2), (3, 1)]
+    f = series_to_quasipoly(num, spec)
+    assert_same_constituents(f, reference_series_to_quasipoly(num, spec))
 
 
 def test_series_to_quasipoly_geometric():

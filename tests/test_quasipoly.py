@@ -8,6 +8,7 @@ import pytest
 
 from conftest import ALL_TYPES
 from linial.ehrhart import ehrhart_quasi
+from linial.eulerian import generalized_eulerian
 from linial.quasipoly import (
     OperatorPoly,
     QuasiPoly,
@@ -22,7 +23,7 @@ from linial.quasipoly import (
     sorted_divisors,
     tilde,
 )
-from linial.ratpoly import RatPoly, cyclotomic_type, divides
+from linial.ratpoly import RatPoly, cyclotomic_type, divides, shift_argument
 from linial.rootsystems import catalog
 
 
@@ -120,6 +121,60 @@ def test_apply_S_general_operator_pointwise():
         for t in range(-6, 13):
             want = sum(c * f.eval(t - m * k) for k, c in enumerate(coeffs.coeffs))
             assert g.eval(t) == want
+
+
+def shifted_sums(f, op):
+    """apply_S and apply_Sbar by their definition, on RatPoly constituents:
+    slot r is sum_k a_k * shift_argument(slot j, -m k) with j = r - m k
+    (rotating) or j = r, materialized at f's minimal period."""
+    f = minimal_period(f)
+    n, cs = f.period, f.constituents
+    steps = [op.stride * k for k in range(len(op.coeffs.coeffs))]
+    # each (slot, shift) pair is read once by S and once by S-bar
+    shifted = [[shift_argument(c, -s) for s in steps] for c in cs]
+    out = []
+    for rotate in (True, False):
+        slots = []
+        for r in range(n):
+            acc = RatPoly.zero()
+            for k, (a, s) in enumerate(zip(op.coeffs.coeffs, steps)):
+                acc = acc + shifted[(r - s) % n if rotate else r][k].scale(a)
+            slots.append(acc)
+        out.append(QuasiPoly(n, slots))
+    return out
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_apply_matches_shift_reference_alcove(label):
+    # the moment kernel against literal Taylor shifts, on every L_Phi, for
+    # R_Phi(S^(n+1)) and for the block factors (1/b) [b]_{S^s}
+    info = catalog(label)
+    L = ehrhart_quasi(info)
+    rho = info.period_rho
+    ops = [OperatorPoly(generalized_eulerian(info), n + 1) for n in sorted({0, 1, rho})]
+    ops += [
+        OperatorPoly(cyclotomic_type(b).scale(Fraction(1, b)), s)
+        for b in (2, 3)
+        for s in sorted(set(info.marks))
+    ]
+    for op in ops:
+        want_S, want_Sbar = shifted_sums(L, op)
+        assert_same_quasipoly(apply_S(L, op), want_S)
+        assert_same_quasipoly(apply_Sbar(L, op), want_Sbar)
+
+
+def test_apply_matches_shift_reference_random():
+    rng = random.Random(112)
+    for _ in range(60):
+        f = random_quasipoly(rng)
+        m = rng.randint(1, 5)
+        coeffs = RatPoly(
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))
+        )
+        op = OperatorPoly(coeffs, m)
+        want_S, want_Sbar = shifted_sums(f, op)
+        assert_same_quasipoly(apply_S(f, op), want_S)
+        assert_same_quasipoly(apply_Sbar(f, op), want_Sbar)
 
 
 def test_apply_Sbar_shifts_without_rotation():
@@ -221,12 +276,13 @@ def orbit_average(f, k):
     """tilde by its definition: n^2 slot additions over the sigma^k orbit."""
     f = minimal_period(f)
     n = f.period
+    cs = f.constituents
     inv = Fraction(1, n)
     slots = []
     for r in range(n):
         acc = RatPoly.zero()
         for i in range(n):
-            acc = acc + f.constituents[(r - i * k) % n]
+            acc = acc + cs[(r - i * k) % n]
         slots.append(acc.scale(inv))
     return minimal_period(QuasiPoly(n, tuple(slots)))
 
@@ -298,6 +354,83 @@ def test_gcd_property_detector():
     assert has_gcd_property(f)
     g = qp([1], [2], [3], [4])
     assert not has_gcd_property(g)
+
+
+def assert_canonical(f):
+    widths = {len(row) for row in f.rows}
+    assert len(f.rows) == f.period and len(widths) == 1
+    assert f.den > 0
+    assert gcd(f.den, *(v for row in f.rows for v in row)) == 1
+    width = widths.pop()
+    assert width == 0 or any(row[-1] for row in f.rows)
+    if width == 0:
+        assert f.den == 1
+
+
+def assert_same_form(a, b):
+    a, b = minimal_period(a), minimal_period(b)
+    assert (a.period, a.den, a.rows) == (b.period, b.den, b.rows)
+    assert a == b and hash(a) == hash(b)
+
+
+def test_canonical_form_invariants():
+    rng = random.Random(113)
+    for _ in range(60):
+        f = random_quasipoly(rng).scale(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+        g = random_quasipoly(rng)
+        for h in (f, g, f + g, f - g, f - f, tilde(f, rng.randint(0, 6)), sigma_pow(f, 1)):
+            assert_canonical(h)
+        op = OperatorPoly(RatPoly((Fraction(1, 3), Fraction(-2, 5))), rng.randint(1, 3))
+        assert_canonical(apply_S(f, op))
+        assert_canonical(apply_Sbar(f, op))
+
+
+def test_canonical_form_same_function_same_form():
+    f = qp([Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 6)])
+    # built from constituents with other denominators that cancel
+    halves = qp([Fraction(1, 4), Fraction(1, 6)], [Fraction(1, 12)])
+    assert_same_form(halves + halves, f)
+    assert_same_form(f.scale(Fraction(7, 3)).scale(Fraction(3, 7)), f)
+    # a higher-degree term that cancels leaves no zero top column behind
+    top = qp([0, 0, 0, Fraction(5, 7)], [Fraction(1, 5)])
+    padded = (f + top) - top
+    assert_canonical(padded)
+    assert_same_form(padded, f)
+    assert padded.rows == ((3, 2), (1, 0)) and padded.den == 6
+    # the same slots at a multiple of the period
+    doubled = QuasiPoly(4, f.constituents * 2)
+    assert doubled.period == 4
+    assert_same_form(doubled, f)
+    assert_same_form(f.at_period(6), f)
+
+
+def test_canonical_form_zero_and_negative_scales():
+    for k in (1, 2, 5):
+        z = QuasiPoly.zero(k)
+        assert (z.period, z.den, z.rows) == (k, 1, ((),) * k)
+        assert z.degree == float("-inf") and z.eval(3) == 0
+        assert_same_form(z, QuasiPoly.zero(1))
+        assert z.constituents == (RatPoly.zero(),) * k
+    f = qp([Fraction(-3, 4), 2], [Fraction(1, 6)])
+    assert_same_form(f - f, QuasiPoly.zero(1))
+    assert_same_form(f.scale(0), QuasiPoly.zero(1))
+    for c in (-1, -3, Fraction(-2, 5)):
+        g = f.scale(c)
+        assert_canonical(g)
+        assert all(g.eval(t) == c * f.eval(t) for t in range(-4, 5))
+        assert_same_form(g.scale(1 / Fraction(c)), f)
+    assert f.scale(-1).rows == tuple(tuple(-v for v in row) for row in f.rows)
+    assert f.scale(-1).den == f.den > 0
+
+
+def test_constituents_roundtrip_through_json():
+    rng = random.Random(114)
+    for _ in range(30):
+        f = random_quasipoly(rng).scale(Fraction(rng.randint(-5, 5), rng.randint(1, 9)))
+        g = quasipoly_from_json(quasipoly_to_json(f))
+        assert g.constituents == f.constituents
+        assert (g.period, g.den, g.rows) == (f.period, f.den, f.rows)
+        assert QuasiPoly(f.period, f.constituents).rows == f.rows
 
 
 def test_json_roundtrip():
