@@ -64,7 +64,6 @@ from .ratpoly import (
     render_poly,
     residue_split,
     shift_argument,
-    sturm_count_real_roots,
 )
 from .rootline import RootReport, find_roots, verify_line
 from .rootsystems import (
@@ -132,7 +131,6 @@ __all__ = [
     "series_to_quasipoly",
     "shift_argument",
     "sigma_pow",
-    "sturm_count_real_roots",
     "tilde",
     "verify_corollary1",
     "verify_line",

@@ -139,8 +139,7 @@ def _exact_flag(report) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _table_row(label: str, n: int) -> dict:
-    info = catalog(label)
+def _table_row(info, n: int) -> dict:
     p = char_poly(info, n)
     target = Fraction(n * info.coxeter_h, 2)
     report = verify_line(p, target)
@@ -156,12 +155,7 @@ def _table_row(label: str, n: int) -> dict:
 
 def cmd_table(args) -> int:
     info = catalog(args.type)
-    n_list = _parse_n_list(args.n_list)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_table_row, [info.label] * len(n_list), n_list))
-    else:
-        rows = [_table_row(info.label, n) for n in n_list]
+    rows = [_table_row(info, n) for n in _parse_n_list(args.n_list)]
 
     if args.format == "json":
         _print_json(
@@ -492,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="1,2,3",
         help="comma-separated n values (default: 1,2,3)",
     )
-    p_table.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="identity and counting checks for one n")

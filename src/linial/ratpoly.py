@@ -11,15 +11,15 @@ special-purpose machinery the rest of the package leans on:
 * ``cyclotomic_type(c)`` builds ``[c]_t = 1 + t + ... + t^(c-1)``,
 * exact division / congruence predicates,
 * the residue-class moment test that characterises divisibility by
-  ``[n]_t^(l+1)``,
-* exact Sturm chains for counting real roots of squarefree polynomials.
+  ``[n]_t^(l+1)``.
+
+The integer Sturm chains of the root-line certificate live in ``rootline``.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "RatPoly",
@@ -34,7 +34,6 @@ __all__ = [
     "congruent_mod_power",
     "moment_divisibility",
     "residue_split",
-    "sturm_count_real_roots",
     "render_poly",
 ]
 
@@ -289,63 +288,6 @@ def residue_split(g: RatPoly, n: int) -> list[RatPoly]:
     for k, a in enumerate(g.coeffs):
         pieces[k % n][k] = a
     return [RatPoly(p) for p in pieces]
-
-
-# ---------------------------------------------------------------------------
-# Sturm chains
-
-
-def _primitive_int_coeffs(p: RatPoly) -> list[int]:
-    """Scale by a positive rational to primitive integer coefficients."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
-
-
-def _sign_at_inf(coeffs: Sequence[int], positive: bool) -> int:
-    lead = coeffs[-1]
-    if positive:
-        return 1 if lead > 0 else -1
-    return (1 if lead > 0 else -1) * (1 if (len(coeffs) - 1) % 2 == 0 else -1)
-
-
-def sturm_count_real_roots(p: RatPoly) -> int:
-    """Number of distinct real roots of a squarefree ``p``, by exact Sturm
-    chains over (-inf, +inf).
-
-    Coefficient growth in the chain is tamed by stripping each remainder to
-    a primitive integer polynomial (a positive rescale, which leaves the
-    chain's sign variations untouched).
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return 0
-    if poly_gcd(p, derivative(p)).degree > 0:
-        raise ValueError("polynomial is not squarefree")
-
-    chain: list[list[int]] = [_primitive_int_coeffs(p)]
-    d = derivative(p)
-    if not d.is_zero:
-        chain.append(_primitive_int_coeffs(d))
-        while True:
-            f = RatPoly(chain[-2])
-            g = RatPoly(chain[-1])
-            _, r = poly_divmod(f, g)
-            if r.is_zero:
-                break
-            chain.append(_primitive_int_coeffs(-r))
-            if len(chain[-1]) == 1:
-                break
-
-    def variations(positive: bool) -> int:
-        signs = [_sign_at_inf(c, positive) for c in chain]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    return variations(False) - variations(True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,40 +1,37 @@
 """Verify that all roots of a polynomial lie on a vertical line Re z = a.
 
-Two independent routes:
+Both routes start from one exact shift, r(s) = p(s + a), scaled to
+primitive integers, and one integer routine: the Sturm chain of signed,
+content-stripped pseudo-remainders (Collins 1967; Brown and Traub 1971).
+Its last entry is gcd(r, r') up to a constant, so chains split r by exact
+division into squarefree parts q_1 = r / gcd(r, r'), then the same for
+the gcd, and so on.
 
-numeric — all roots as companion-matrix eigenvalues (``numpy.roots``).  Zero
-roots are stripped off exactly first, and repeated roots are separated with
-an exact gcd, so the eigenvalue solve only ever sees squarefree factors.
-Each factor is first shifted exactly, in rational arithmetic, onto the
-centroid of its roots, -c_{d-1} / (d c_d).  For a characteristic polynomial
-that centroid is the line nh/2 itself, so the eigenvalues come from a
-polynomial whose roots sit on the imaginary axis, and their real parts carry
-only the rounding error of the centred coefficients.  The report carries the
-maximal deviation |Re z - a|.
+numeric — all roots as companion-matrix eigenvalues (``numpy.roots``) of
+the squarefree parts, shifted back by a.  For a polynomial symmetric about
+a, such as a characteristic polynomial about nh/2, a is the centroid of
+every part, so the eigenvalues come from polynomials whose roots sit on
+the imaginary axis, and their real parts carry only the rounding error of
+the centred coefficients.  The report carries the maximal deviation
+|Re z - a|.  ``find_roots`` takes the same route about the centroid of p,
+after stripping zero roots exactly.
 
-exact — shift by a (rational arithmetic): all roots lie on Re z = a iff
-r(s) = p(s + a) satisfies r(-s) = (-1)^deg r(s) AND the squarefree part
-q = r / gcd(r, r'), of degree d, turns into a real polynomial
+exact — all roots lie on Re z = a iff r(-s) = (-1)^deg r(s) AND the
+squarefree part q = q_1, of degree d, turns into a real polynomial
 w(u) = i^(-d) * q(iu) with d distinct real roots.  The parity is an exact
-coefficient check; the real-root count is an exact Sturm count on w, which
-is squarefree by construction.  Together these turn a floating-point
-observation into a rational-arithmetic proof or refutation, repeated roots
-included.
+coefficient check; the real-root count is the sign variations of the Sturm
+chain of w at -inf minus those at +inf.  Together these turn a
+floating-point observation into an integer-arithmetic proof or refutation,
+repeated roots included.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratpoly import (
-    RatPoly,
-    derivative,
-    poly_divmod,
-    poly_gcd,
-    shift_argument,
-    sturm_count_real_roots,
-)
+from .ratpoly import RatPoly, shift_argument
 
 __all__ = ["RootReport", "find_roots", "verify_line"]
 
@@ -49,16 +46,72 @@ class RootReport:
     squarefree: bool
 
 
-def _centred_roots(p: RatPoly) -> list[complex]:
-    """Roots of a squarefree p with nonzero constant term: companion-matrix
-    eigenvalues of p shifted exactly onto the centroid of its roots."""
+def _primitive(cs) -> list[int]:
+    """The positive rational multiple of the nonzero coefficient list ``cs``
+    (lowest degree first) with coprime integer entries."""
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _eliminate_top(r: list[int], m: int, c: int, g: list[int]) -> list[int]:
+    """m * r - c * t^(deg r - deg g) * g, less its top coefficient, which
+    the caller chooses m and c to cancel."""
+    return [m * x - c * y for x, y in zip(r, [0] * (len(r) - len(g)) + g)][:-1]
+
+
+def _sturm_chain(f: list[int]) -> list[list[int]]:
+    """Sturm chain of f (degree >= 1): f, f', then -rem of the previous two,
+    each stripped to a primitive integer polynomial (a positive rescale,
+    which keeps the chain's signs).  The last entry is gcd(f, f') up to a
+    constant factor."""
+    chain = [f, _primitive([k * c for k, c in enumerate(f)][1:])]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        r = a  # ends as prem(a, b) = lc(b)^(deg a - deg b + 1) * rem(a, b)
+        for _ in range(len(a) - len(b) + 1):
+            r = _eliminate_top(r, b[-1], r[-1], b)
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            break
+        # -rem has the sign of -prem unless lc(b)^(deg a - deg b + 1) < 0
+        sign = -1 if b[-1] > 0 or (len(a) - len(b)) % 2 else 1
+        chain.append([sign * c for c in _primitive(r)])
+    return chain
+
+
+def _squarefree_parts(r: list[int]) -> list[list[int]]:
+    """q_1, q_2, ...: q_k has each root of r of multiplicity >= k once, so
+    r is their product up to a constant, and squarefree iff q_1 is the
+    only part."""
+    parts = []
+    while len(r) > 1:
+        g = _sturm_chain(r)[-1]  # primitive, so r / g is integral
+        q, rem = [], r
+        for _ in range(len(r) - len(g) + 1):
+            q.append(rem[-1] // g[-1])
+            rem = _eliminate_top(rem, 1, q[-1], g)
+        parts.append(q[::-1])
+        r = g
+    return parts
+
+
+def _variations(signs: list[bool]) -> int:
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _eigenvalue_roots(parts: list[list[int]], a: Fraction) -> list[complex]:
+    """Roots of the parts, each the eigenvalues of a monic companion matrix,
+    shifted back by a."""
     import numpy as np
 
-    deg = int(p.degree)
-    a = -p.coeffs[-2] / (deg * p.leading)
-    r = shift_argument(p, a)
-    monic = [float(c / r.leading) for c in reversed(r.coeffs)]
-    return [complex(z) + float(a) for z in np.roots(monic)]
+    return [
+        complex(z) + float(a)
+        for q in parts
+        for z in np.roots([float(Fraction(c, q[-1])) for c in reversed(q)])
+    ]
 
 
 def find_roots(p: RatPoly) -> list[complex]:
@@ -66,61 +119,49 @@ def find_roots(p: RatPoly) -> list[complex]:
     deterministically ordered by (imaginary, real) part."""
     if p.is_zero or p.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
-
-    roots: list[complex] = []
-    first = 0
-    while p.coeffs[first] == 0:
-        first += 1
-    roots.extend([0j] * first)
-    if first:
-        p = RatPoly(p.coeffs[first:])
-
-    deg = int(p.degree) if not p.is_zero else 0
-    if deg == 1:
-        roots.append(complex(Fraction(-p.coeffs[0], p.coeffs[1])))
-    elif deg >= 2:
-        g = poly_gcd(p, derivative(p))
-        if g.degree >= 1:
-            squarefree_part, rem = poly_divmod(p, g)
-            assert rem.is_zero
-            roots.extend(_centred_roots(squarefree_part))
-            roots.extend(find_roots(g))
-        else:
-            roots.extend(_centred_roots(p))
+    first = next(k for k, c in enumerate(p.coeffs) if c != 0)
+    roots = [0j] * first
+    p = RatPoly(p.coeffs[first:])
+    if p.degree >= 1:
+        a = -p.coeffs[-2] / (p.degree * p.leading)  # the centroid of the roots
+        r = _primitive(shift_argument(p, a).coeffs)
+        roots += _eigenvalue_roots(_squarefree_parts(r), a)
     return sorted(roots, key=lambda w: (w.imag, w.real))
 
 
 def verify_line(p: RatPoly, a: Fraction | int) -> RootReport:
     """Check that every root of p lies on Re z = a, numerically and exactly."""
+    if p.is_zero or p.degree < 1:
+        raise ValueError("need a polynomial of degree >= 1")
     a = Fraction(a)
-    roots = tuple(find_roots(p))
+    r = _primitive(shift_argument(p, a).coeffs)  # r(s) = p(s + a)
+    parts = _squarefree_parts(r)
+    roots = tuple(
+        sorted(_eigenvalue_roots(parts, a), key=lambda w: (w.imag, w.real))
+    )
     max_dev = max(abs(z.real - float(a)) for z in roots)
 
-    r = shift_argument(p, a)  # r(s) = p(s + a)
-    deg = int(r.degree)
-    symmetry = all(
-        c == 0 for k, c in enumerate(r.coeffs) if (k - deg) % 2
-    )
-    g = poly_gcd(r, derivative(r))
-
+    deg = len(r) - 1
+    symmetry = all(c == 0 for k, c in enumerate(r) if (k - deg) % 2)
     sturm_ok = False
     if symmetry:
         # the squarefree part keeps the parity of r, so
-        # w(u) = i^(-d) q(iu) has rational coefficients
-        q, _ = poly_divmod(r, g)
-        d = int(q.degree)
-        w = RatPoly(
-            tuple(
-                c * (-1) ** ((d - k) // 2) if (d - k) % 2 == 0 else Fraction(0)
-                for k, c in enumerate(q.coeffs)
-            )
-        )
-        sturm_ok = sturm_count_real_roots(w) == d
+        # w(u) = i^(-d) q(iu) has integer coefficients
+        q = parts[0]
+        d = len(q) - 1
+        w = [
+            c * (-1) ** ((d - k) // 2) if (d - k) % 2 == 0 else 0
+            for k, c in enumerate(q)
+        ]
+        chain = _sturm_chain(w)
+        at_plus = [f[-1] > 0 for f in chain]
+        at_minus = [s != (len(f) % 2 == 0) for s, f in zip(at_plus, chain)]  # odd degree flips
+        sturm_ok = _variations(at_minus) - _variations(at_plus) == d
     return RootReport(
         target_real_part=a,
         roots=roots,
         max_deviation=max_dev,
         symmetry_exact=symmetry,
         sturm_exact=sturm_ok,
-        squarefree=g.degree <= 0,
+        squarefree=len(parts) == 1,
     )

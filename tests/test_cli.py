@@ -34,10 +34,12 @@ def test_table_is_deterministic(capsys):
     assert a == b
 
 
-def test_table_jobs_parallel_equals_serial(capsys):
-    serial = run_cli(capsys, "table", "B3", "--n-list", "1,2,3,4")
-    parallel = run_cli(capsys, "table", "B3", "--n-list", "1,2,3,4", "--jobs", "2")
-    assert serial == parallel
+def test_table_rejects_jobs_flag(capsys):
+    # table runs serially; --jobs is a usage error that names the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "B3", "--n-list", "1,2,3,4", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_table_json_schema(capsys):

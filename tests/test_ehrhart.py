@@ -2,6 +2,7 @@
 and the per-mark decomposition."""
 
 import math
+import types
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import ALL_TYPES
 from linial.ehrhart import (
+    PeriodConsistencyError,
     cross_type_relation_check,
     cyclotomic_factor,
     decompose_ehrhart,
@@ -196,6 +198,15 @@ def test_series_to_quasipoly_geometric():
         series_to_quasipoly(RatPoly.monomial(3), [(2, 1)])  # improper
 
 
+def test_series_to_quasipoly_spare_node_catches_a_short_period(monkeypatch):
+    # with the period forced to 1, the constant 1 through node 0 misses the
+    # series' 0 at node 1
+    short_lcm = types.SimpleNamespace(lcm=lambda *args: 1, factorial=math.factorial)
+    monkeypatch.setattr(linial.ehrhart, "math", short_lcm)
+    with pytest.raises(PeriodConsistencyError, match="residue 0 misses node 1"):
+        series_to_quasipoly(RatPoly.one(), [(2, 1)])
+
+
 @pytest.mark.parametrize("label", ALL_TYPES)
 def test_decomposition_resums(label):
     info = catalog(label)
@@ -271,10 +282,10 @@ def test_coprime_constituents_depend_only_on_radical(label):
         a = tilde(L, gcd(k, rho))
         b = tilde(L, gcd(k, rad))
         n = max(minimal_period(a).period, minimal_period(b).period)
-        aa, bb = a.at_period(n), b.at_period(n)
+        aa, bb = a.at_period(n).constituents, b.at_period(n).constituents
         for j in range(n):
             if gcd(j, n) == 1:
-                assert aa.constituents[j] == bb.constituents[j], (label, k, j)
+                assert aa[j] == bb[j], (label, k, j)
 
 
 def test_sigma_interacts_with_ehrhart():

@@ -19,7 +19,6 @@ from linial.ratpoly import (
     render_poly,
     residue_split,
     shift_argument,
-    sturm_count_real_roots,
 )
 
 small_ints = st.integers(min_value=-9, max_value=9)
@@ -185,25 +184,6 @@ def test_residue_split_reassembles():
                     assert k % n == j
             total = total + piece
         assert total == g
-
-
-def test_sturm_counts():
-    # (t-1)(t-2)(t-3): three real roots
-    p = RatPoly((-6, 11, -6, 1))
-    assert sturm_count_real_roots(p) == 3
-    # t^2 + 1: none
-    assert sturm_count_real_roots(RatPoly((1, 0, 1))) == 0
-    # (t^2+1)(t-5): one
-    assert sturm_count_real_roots(RatPoly((1, 0, 1)) * RatPoly((-5, 1))) == 1
-    with pytest.raises(ValueError):
-        sturm_count_real_roots(RatPoly.zero())
-    with pytest.raises(ValueError):
-        sturm_count_real_roots(RatPoly((0, 0, 1)))  # repeated root
-
-
-def test_sturm_scaling_invariance():
-    p = RatPoly((-6, 11, -6, 1)).scale(Fraction(3, 7))
-    assert sturm_count_real_roots(p) == 3
 
 
 def test_render_poly():

@@ -1,10 +1,14 @@
 """Numeric root finding and the exact vertical-line certificate."""
 
+import math
+import random
 from fractions import Fraction
+from typing import Sequence
 
+import numpy as np
 import pytest
 
-from linial.ratpoly import RatPoly
+from linial.ratpoly import RatPoly, derivative, poly_divmod, poly_gcd, shift_argument
 from linial.rootline import find_roots, verify_line
 from linial.rootsystems import catalog
 from linial.arrangements import char_poly
@@ -51,6 +55,10 @@ def test_rejects_constants():
         find_roots(RatPoly.one())
     with pytest.raises(ValueError):
         find_roots(RatPoly.zero())
+    with pytest.raises(ValueError, match="degree >= 1"):
+        verify_line(RatPoly.one(), 0)
+    with pytest.raises(ValueError, match="degree >= 1"):
+        verify_line(RatPoly.zero(), Fraction(1, 2))
 
 
 def test_big_coefficients():
@@ -138,3 +146,167 @@ def test_table_rows_on_the_line(label, n, target):
     rep = verify_line(p, Fraction(target))
     assert rep.max_deviation < 1e-10
     assert rep.symmetry_exact and rep.sturm_exact and rep.squarefree
+
+
+# ---------------------------------------------------------------------------
+# Reference: the rational-arithmetic certificate that verify_line's integer
+# Sturm chains replaced, kept to check that the verdicts do not change.
+
+
+def _primitive_int_coeffs(p: RatPoly) -> list[int]:
+    """Scale by a positive rational to primitive integer coefficients."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    g = math.gcd(*ints)
+    if g > 1:
+        ints = [c // g for c in ints]
+    return ints
+
+
+def _sign_at_inf(coeffs: Sequence[int], positive: bool) -> int:
+    lead = coeffs[-1]
+    if positive:
+        return 1 if lead > 0 else -1
+    return (1 if lead > 0 else -1) * (1 if (len(coeffs) - 1) % 2 == 0 else -1)
+
+
+def sturm_count_real_roots(p: RatPoly) -> int:
+    """Number of distinct real roots of a squarefree ``p``, by exact Sturm
+    chains over (-inf, +inf).
+
+    Coefficient growth in the chain is tamed by stripping each remainder to
+    a primitive integer polynomial (a positive rescale, which leaves the
+    chain's sign variations untouched).
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    if p.degree == 0:
+        return 0
+    if poly_gcd(p, derivative(p)).degree > 0:
+        raise ValueError("polynomial is not squarefree")
+
+    chain: list[list[int]] = [_primitive_int_coeffs(p)]
+    d = derivative(p)
+    if not d.is_zero:
+        chain.append(_primitive_int_coeffs(d))
+        while True:
+            f = RatPoly(chain[-2])
+            g = RatPoly(chain[-1])
+            _, r = poly_divmod(f, g)
+            if r.is_zero:
+                break
+            chain.append(_primitive_int_coeffs(-r))
+            if len(chain[-1]) == 1:
+                break
+
+    def variations(positive: bool) -> int:
+        signs = [_sign_at_inf(c, positive) for c in chain]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(False) - variations(True)
+
+
+def reference_verdicts(p: RatPoly, a: Fraction) -> tuple[bool, bool, bool]:
+    """(symmetry, Sturm, squarefree) by Fraction shift, gcd and Sturm chain."""
+    r = shift_argument(p, a)  # r(s) = p(s + a)
+    deg = int(r.degree)
+    symmetry = all(c == 0 for k, c in enumerate(r.coeffs) if (k - deg) % 2)
+    g = poly_gcd(r, derivative(r))
+    sturm_ok = False
+    if symmetry:
+        q, _ = poly_divmod(r, g)
+        d = int(q.degree)
+        w = RatPoly(
+            tuple(
+                c * (-1) ** ((d - k) // 2) if (d - k) % 2 == 0 else Fraction(0)
+                for k, c in enumerate(q.coeffs)
+            )
+        )
+        sturm_ok = sturm_count_real_roots(w) == d
+    return symmetry, sturm_ok, g.degree <= 0
+
+
+def _verdicts(rep) -> tuple[bool, bool, bool]:
+    return rep.symmetry_exact, rep.sturm_exact, rep.squarefree
+
+
+def test_sturm_counts():
+    # (t-1)(t-2)(t-3): three real roots
+    p = RatPoly((-6, 11, -6, 1))
+    assert sturm_count_real_roots(p) == 3
+    # t^2 + 1: none
+    assert sturm_count_real_roots(RatPoly((1, 0, 1))) == 0
+    # (t^2+1)(t-5): one
+    assert sturm_count_real_roots(RatPoly((1, 0, 1)) * RatPoly((-5, 1))) == 1
+    with pytest.raises(ValueError):
+        sturm_count_real_roots(RatPoly.zero())
+    with pytest.raises(ValueError):
+        sturm_count_real_roots(RatPoly((0, 0, 1)))  # repeated root
+
+
+def test_sturm_scaling_invariance():
+    p = RatPoly((-6, 11, -6, 1)).scale(Fraction(3, 7))
+    assert sturm_count_real_roots(p) == 3
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_verdicts_match_reference_on_table_rows(label):
+    info = catalog(label)
+    rho = info.period_rho
+    for n in sorted({0, 1, rho, 2 * rho + 1}):
+        if n > 120:
+            continue
+        p = char_poly(info, n)
+        target = Fraction(n * info.coxeter_h, 2)
+        rep = verify_line(p, target)
+        assert _verdicts(rep) == reference_verdicts(p, target), (label, n)
+        assert len(rep.roots) == info.rank
+
+
+def _random_case(rng: random.Random):
+    """A product of factors with known roots, each to a power 1..3, and the
+    line a that the structured factors share."""
+    a = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+    p, roots = RatPoly.one(), []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice((0, 0, 0, 1, 1, 2, 3))
+        if kind == 0:  # (t - a)^2 + b^2: a pair on the line
+            b = Fraction(rng.randint(1, 5), rng.choice((1, 2)))
+            f = RatPoly((a * a + b * b, -2 * a, 1))
+            zs = [complex(float(a), float(b)), complex(float(a), -float(b))]
+        elif kind == 1:  # t - a: a real root on the line
+            f, zs = RatPoly((-a, 1)), [complex(float(a))]
+        elif kind == 2:  # (t - a)^2 - c^2: a real pair off the line
+            c = Fraction(rng.randint(1, 5), rng.choice((1, 2)))
+            f = RatPoly((a * a - c * c, -2 * a, 1))
+            zs = [complex(float(a + c)), complex(float(a - c))]
+        else:  # a small random integer polynomial
+            cs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
+            cs.append(rng.choice((-3, -2, -1, 1, 2, 3)))
+            f = RatPoly(cs)
+            zs = [complex(z) for z in np.roots(cs[::-1])]
+        k = rng.randint(1, 3)
+        p, roots = p * f**k, roots + zs * k
+    k = rng.choice((0, 0, 0, 1, 2))
+    return p * RatPoly.monomial(k), a, roots + [0j] * k
+
+
+def _assert_close_multisets(got, want, tol):
+    assert len(got) == len(want)
+    left = list(want)
+    for z in got:
+        i = min(range(len(left)), key=lambda j: abs(left[j] - z))
+        assert abs(left.pop(i) - z) <= tol, (z, got, want)
+
+
+def test_verdicts_match_reference_on_random_products():
+    rng = random.Random(20200601)
+    certified = 0
+    for _ in range(500):
+        p, a, roots = _random_case(rng)
+        rep = verify_line(p, a)
+        assert _verdicts(rep) == reference_verdicts(p, a), (p, a)
+        certified += rep.symmetry_exact and rep.sturm_exact
+        _assert_close_multisets(find_roots(p), roots, 1e-6)
+        _assert_close_multisets(rep.roots, roots, 1e-6)
+    assert 100 <= certified <= 400  # both verdicts are well represented
