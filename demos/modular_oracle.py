@@ -1,13 +1,18 @@
 """The mod-q counting oracle, and exactly when the formula matches it.
 
 oracle_count(info, 1, n, q) counts points x in (Z/q)^l whose pairing with
-every positive root avoids {1, ..., n} mod q — by brute force, no algebra.
+every positive root avoids {1, ..., n} mod q — point by point, with no
+algebra: the coordinates are fixed one at a time and a partial point is
+dropped as soon as a root it already determines lands in the window.
 The characteristic quasi-polynomial reproduces this count once q clears the
 window, q >= n(h-1); below that threshold the two genuinely differ, because
 the formula is the *eventual* counting polynomial.
 
 This script prints both sides across a sweep of q so you can watch them
-lock together exactly at the threshold.
+lock together exactly at the threshold.  It ends with the one E7 count
+inside the agreement regime, n = 1 at q = 17 (17^7 ~ 4.1e8 points, a few
+seconds): 17 is odd, so the count is the value of the E7 n=1 characteristic
+polynomial, the frozen row in tests/golden_tables.py.
 
 Run:  python3 demos/modular_oracle.py
 """
@@ -40,3 +45,13 @@ chi = char_quasi(info, 1)
 print("G2, n = 1, the two residue classes of the quasi-polynomial:")
 for q in range(6, 14):
     print(f"   q = {q:2d} ({q % 2} mod 2): {int(chi.eval(q)):5d}")
+
+# E7, n = 1: h = 18, so the count equals the formula from q = 17 on, and
+# 17 = 1 mod 2 picks the constituent that is the characteristic polynomial.
+info = catalog("E7")
+chi = char_quasi(info, 1)
+count = oracle_count(info, 1, 1, 17)
+print()
+print(f"E7, n = 1, q = 17 (17^7 = {17**7} points, threshold {oracle_agreement_bound(info, 1)}):")
+print(f"   formula {int(chi.eval(17))}, count {count}: "
+      f"{'equal' if chi.eval(17) == count else 'DIFFERENT'}")

@@ -9,8 +9,8 @@ The central objects:
                                   computed as R_Phi(S^(n+1)) applied to L_Phi;
 * ``char_poly(info, n)``        — its constituent at residue 1 (the
                                   characteristic polynomial proper);
-* ``oracle_count(info, a, b, q)`` — independent brute-force count of
-                                  complement points in (Z/q)^l;
+* ``oracle_count(info, a, b, q)`` — independent count of complement
+                                  points in (Z/q)^l, by pruned enumeration;
 * ``verify_*``                  — exact constituent-level checks of the
                                   period/collapse identities satisfied by
                                   these quasi-polynomials.
@@ -88,37 +88,66 @@ def oracle_agreement_bound(info: RootSystemInfo, n: int) -> int:
     return n * (info.coxeter_h - 1)
 
 
-_CHUNK = 1 << 21
+# Largest q^rank that ``oracle_count`` (and the sum that a ``verify`` sweep) may enumerate.
+_ORACLE_POINT_BUDGET = 10**9
+# Most candidate points the oracle holds per level of its enumeration.
+_BLOCK = 1 << 16
 
 
 def oracle_count(info: RootSystemInfo, a: int, b: int, q: int) -> int:
     """#{x in (Z/q)^l : alpha . x != k (mod q) for all positive roots alpha
-    and all integers k in [a, b]}; b = a - 1 denotes the empty arrangement."""
+    and all integers k in [a, b]}; b = a - 1 denotes the empty arrangement.
+
+    A count of points, with no algebra: the x_i = (alpha_i, x) are fixed one
+    at a time, a prefix is dropped once a root whose last nonzero simple-root
+    coefficient c was just fixed lands in F = {k mod q : a <= k <= b}, and all
+    q values of x_i are settled by rows of T_c[u, x] = [(u + c x) mod q in F].
+    Raises ValueError when q^l exceeds ``_ORACLE_POINT_BUDGET``."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if b < a - 1:
         raise ValueError("b must be >= a - 1")
     ell = info.rank
+    if q**ell > _ORACLE_POINT_BUDGET:
+        raise ValueError(f"{q}^{ell} points exceed the oracle budget {_ORACLE_POINT_BUDGET}")
     if b == a - 1:
         return q**ell
     import numpy as np
+    from numpy.lib.stride_tricks import as_strided
 
-    forbidden = np.array(sorted({k % q for k in range(a, b + 1)}), dtype=np.int64)
-    roots = np.array([r.coords for r in positive_roots(info)], dtype=np.int64)
-    total = q**ell
-    alive = 0
-    # enumerate points in chunks to bound memory at large q^l
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        pts = np.empty((ell, idx.size), dtype=np.int64)
-        rest = idx
-        for j in range(ell - 1, -1, -1):
-            pts[j] = rest % q
-            rest = rest // q
-        dots = (roots @ pts) % q
-        bad = np.isin(dots, forbidden).any(axis=0)
-        alive += int(idx.size - bad.sum())
-    return alive
+    C = np.array([r.coords for r in positive_roots(info)], dtype=np.int64)
+    last = np.array([np.flatnonzero(r)[-1] for r in C])  # last nonzero coordinate
+    C, last = C[last.argsort(kind="stable")], np.sort(last)
+    width = min(q, _BLOCK)  # values of one coordinate per chunk
+    rows = max(1, _BLOCK // width)  # prefixes per block
+    # ext[u] = [u mod q in F]; F is a cyclic interval of at most q residues
+    ext = np.zeros(q + int(C.max()) * width, dtype=bool)
+    start, size = a % q, min(b - a + 1, q)
+    ext[start : start + size] = ext[: max(0, start + size - q)] = True
+    ext[q:] = np.resize(ext[:q], len(ext) - q)
+    # zero-copy views T[c][u, t] = ext[u + c t] = T_c[u, t]
+    T = {c: as_strided(ext, (q, width), (1, c)) for c in set(C.ravel().tolist()) - {0}}
+
+    def count(D, j):  # D[k]: partial dot mod q of the k-th root not settled before x_j
+        lo, hi = np.searchsorted(last, [j, j + 1])
+        alive = 0
+        for x0 in range(0, q, width):
+            w = min(width, q - x0)
+            xc = (C[hi:, j, None] * np.arange(x0, x0 + w) % q).astype(np.int32)
+            for i in range(0, D.shape[1], rows):
+                blk = D[:, i : i + rows]
+                bad = np.zeros((blk.shape[1], w), dtype=bool)
+                for k in range(lo, hi):
+                    c, u = int(C[k, j]), blk[k - lo]  # T_c[u, x0 + t] = T_c[u + c x0, t]
+                    bad |= T[c][(u + c * x0 % q) % q if x0 else u, :w]
+                if j == ell - 1:
+                    alive += bad.size - int(np.count_nonzero(bad))
+                    continue
+                pi, xi = np.nonzero(~bad)
+                alive += count((blk[hi - lo :, pi] + xc[:, xi]) % q, j + 1)
+        return alive
+
+    return count(np.zeros((len(C), 1), dtype=np.int32), 0)
 
 
 def verify_main_theorem(info: RootSystemInfo, n: int) -> bool:

@@ -27,6 +27,7 @@ from itertools import accumulate
 from math import gcd
 
 from .arrangements import (
+    _ORACLE_POINT_BUDGET,
     char_poly,
     char_quasi,
     gcd_prime_polynomial,
@@ -201,8 +202,6 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Largest sum of q^rank over the swept moduli that the oracle may enumerate.
-_ORACLE_POINT_BUDGET = 10**9
 # Largest dilation factor that ``ehrhart`` compares.
 _EHRHART_Q_MAX = 10**5
 

@@ -4,19 +4,25 @@ Coefficients are ascending (constant term first).  The rows are this
 package's own output, frozen as regression data; ACCEPTANCE 1 re-derives
 them through the ``table`` command on every run.
 
-Independent backing differs per row.  The brute-force mod-q count equals
-the formula only at moduli q >= n(h-1), over q^rank points, and each count
-checks one value of the polynomial, not its coefficients:
+Independent backing differs per row.  The mod-q count (``oracle_count``)
+equals the formula only at moduli q >= n(h-1), over q^rank points, and each
+count checks one value of the polynomial, not its coefficients:
 
 * E6 n=1 and F4 n=1: counted at q = 11 (``GOLDEN_SPOT_CHECKS`` in
   test_arrangements.py), F4 n=1 also at q = 11..14 and F4 n=2 at
   q = 22..25 (``test_oracle_matches_formula_in_agreement_regime``).  The
   row's own polynomial is the constituent there at q = 11 (E6 n=1), q = 11
   and 13 (F4 n=1), and q = 22, 23 and 25 (F4 n=2).
-* E6 n=2 (22^6 ~ 1.1e8 points), F4 n=5 (55^4 ~ 9.2e6) and E7 n=1
-  (17^7 ~ 4.1e8) are within brute-force reach but not counted by the suite.
+* E6 n=2 at q = 22 (22^6 ~ 1.1e8 points) and F4 n=5 at q = 55 (55^4 ~
+  9.2e6): the row's polynomial, evaluated at q, equals the count
+  (``test_golden_row_against_oracle`` in test_arrangements.py).  Both q
+  are 1 modulo the period, so the row is the constituent there.
+* E7 n=1 at q = 17 (17^7 ~ 4.1e8 points, a few seconds): counted by
+  ``demos/modular_oracle.py``, which prints formula and count; the suite
+  does not run it, to stay within its time budget.
 * E6 n=5 (55^6 ~ 2.8e10), E7 n=2 and n=5 (34^7 ~ 5.3e10 and more) and every
-  E8 row (at least 29^8 ~ 5e11) are out of its reach.
+  E8 row (at least 29^8 ~ 5e11) exceed the oracle's budget of 1e9 points
+  and are not counted.
 
 The rows without a count rest on exact checks inside the package instead:
 the root-line certificate (ACCEPTANCE 2: parity of the shifted polynomial

@@ -1,12 +1,16 @@
 """Characteristic quasi-polynomials of the offset-window deformations and the
 finite-field counting oracle."""
 
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from conftest import ALL_TYPES, SMALL_TYPES
+from golden_tables import GOLDEN
 from linial.arrangements import (
     char_poly,
     char_quasi,
@@ -22,7 +26,39 @@ from linial.ehrhart import ehrhart_quasi
 from linial.eulerian import generalized_eulerian
 from linial.quasipoly import OperatorPoly, apply_S, minimal_period
 from linial.ratpoly import RatPoly, render_poly
-from linial.rootsystems import catalog
+from linial.rootsystems import catalog, positive_roots
+
+_CHUNK = 1 << 21
+
+
+def brute_oracle_count(info, a, b, q):
+    """Reference for ``oracle_count``: every point of (Z/q)^l, in chunks of
+    2^21, dotted with every positive root."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if b < a - 1:
+        raise ValueError("b must be >= a - 1")
+    ell = info.rank
+    if b == a - 1:
+        return q**ell
+    import numpy as np
+
+    forbidden = np.array(sorted({k % q for k in range(a, b + 1)}), dtype=np.int64)
+    roots = np.array([r.coords for r in positive_roots(info)], dtype=np.int64)
+    total = q**ell
+    alive = 0
+    # enumerate points in chunks to bound memory at large q^l
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        pts = np.empty((ell, idx.size), dtype=np.int64)
+        rest = idx
+        for j in range(ell - 1, -1, -1):
+            pts[j] = rest % q
+            rest = rest // q
+        dots = (roots @ pts) % q
+        bad = np.isin(dots, forbidden).any(axis=0)
+        alive += int(idx.size - bad.sum())
+    return alive
 
 
 def test_A1_closed_form():
@@ -75,6 +111,67 @@ def test_oracle_validation():
         oracle_count(catalog("A2"), 1, 1, 0)
     with pytest.raises(ValueError):
         oracle_count(catalog("A2"), 3, 1, 5)
+
+
+def test_oracle_point_budget():
+    # 29^8 ~ 5e11 points: refused before any counting, empty window or not
+    for b in (1, 0):
+        with pytest.raises(ValueError, match="budget"):
+            oracle_count(catalog("E8"), 1, b, 29)
+    with pytest.raises(ValueError, match="budget"):
+        oracle_count(catalog("A1"), 1, 1, 10**9 + 1)
+
+
+# every type of rank <= 5, with the largest modulus of the seeded draws
+ORACLE_REFERENCE_TYPES = {
+    "A1": 60, "A2": 24, "A3": 13, "A4": 9, "A5": 7, "B2": 24, "B3": 13,
+    "B4": 9, "B5": 7, "C2": 24, "C3": 13, "C4": 9, "C5": 7, "D4": 9,
+    "D5": 7, "F4": 9, "G2": 24,
+}
+
+
+@pytest.mark.parametrize("label", sorted(ORACLE_REFERENCE_TYPES))
+def test_oracle_matches_brute_reference(label):
+    # general windows [a, b]: a <= 0, empty (b = a - 1), at least q long,
+    # q in {1, 2}, seeded draws, and one modulus with q^l ~ 2e5, whose
+    # prefixes fill several blocks for most types; 11 cases per type
+    info = catalog(label)
+    rng = random.Random(label)
+    q_max = ORACLE_REFERENCE_TYPES[label]
+    q_big = int(2e5 ** (1 / info.rank))
+    cases = [(1, 1, 1), (0, 2, 2), (3, 2, 5), (-4, q_max, q_max), (1, 1, q_big)]
+    for _ in range(6):
+        q = rng.randint(1, q_max)
+        a = rng.randint(-2 * q, 3)
+        cases.append((a, a - 1 + rng.choice([rng.randint(0, 4), rng.randint(q, 2 * q)]), q))
+    for a, b, q in cases:
+        assert oracle_count(info, a, b, q) == brute_oracle_count(info, a, b, q), (a, b, q)
+
+
+def test_oracle_matches_brute_reference_across_chunks():
+    # q > 2^16 splits the values of a coordinate into several chunks; only
+    # rank 1 reaches such q within the point budget
+    info = catalog("A1")
+    q = (1 << 17) + 3
+    for a, b in ((1, 1), (-5, 70000), ((1 << 16) - 2, (1 << 16) + 2), (q - 3, q + 3), (9, 8)):
+        assert oracle_count(info, a, b, q) == brute_oracle_count(info, a, b, q), (a, b)
+
+
+def test_oracle_memory_is_bounded():
+    # E6 at q = 13 is 13^6 ~ 4.8e6 points; the whole process stays under 200 MB
+    script = (
+        "import resource\n"
+        "from linial.arrangements import char_quasi, oracle_count\n"
+        "from linial.rootsystems import catalog\n"
+        "info = catalog('E6')\n"
+        "assert oracle_count(info, 1, 1, 13) == char_quasi(info, 1).eval(13)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200 * 1024  # ru_maxrss is in KiB
 
 
 @pytest.mark.parametrize("label", SMALL_TYPES)
@@ -180,3 +277,20 @@ def test_formula_against_oracle_at_scale(label, n, q):
     info = catalog(label)
     assert q >= oracle_agreement_bound(info, n)
     assert char_quasi(info, n).eval(q) == oracle_count(info, 1, n, q)
+
+
+GOLDEN_COUNTED = [
+    # (label, n, q): q inside the agreement regime and at residue 1 of the
+    # period, so the count is the frozen polynomial's value
+    ("E6", 2, 22),
+    ("F4", 5, 55),
+]
+
+
+@pytest.mark.parametrize("label,n,q", GOLDEN_COUNTED)
+def test_golden_row_against_oracle(label, n, q):
+    info = catalog(label)
+    assert q >= oracle_agreement_bound(info, n)
+    assert (q - 1) % minimal_period(char_quasi(info, n)).period == 0
+    coeffs = dict(GOLDEN[label])[n]
+    assert sum(c * q**i for i, c in enumerate(coeffs)) == oracle_count(info, 1, n, q)
