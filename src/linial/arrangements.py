@@ -6,7 +6,9 @@ hyperplanes (alpha, x) = k for positive roots alpha and 1 <= k <= n
 The central objects:
 
 * ``char_quasi(info, n)``       — the characteristic quasi-polynomial,
-                                  computed as R_Phi(S^(n+1)) applied to L_Phi;
+                                  R_Phi(S^(n+1)) applied to L_Phi, computed
+                                  from its generating series
+                                  R_Phi(x^(n+1)) / prod (1 - x^{c_i});
 * ``char_poly(info, n)``        — its constituent at residue 1 (the
                                   characteristic polynomial proper);
 * ``oracle_count(info, a, b, q)`` — independent count of complement
@@ -29,7 +31,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .ehrhart import ehrhart_quasi
+from .ehrhart import _series_quasi, ehrhart_quasi
 from .eulerian import generalized_eulerian
 from .quasipoly import (
     OperatorPoly,
@@ -58,11 +60,15 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def char_quasi(info: RootSystemInfo, n: int) -> QuasiPoly:
-    """chi_quasi of the [1, n] arrangement: R_Phi(S^(n+1)) applied to L_Phi."""
+    """chi_quasi of the [1, n] arrangement, sum_k a_k L_Phi(t - (n+1)k) for
+    R_Phi = sum_k a_k t^k: the quasi-polynomial of the generating series
+    R_Phi(x^(n+1)) / prod_{i=0..l} (1 - x^{c_i})."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    op = OperatorPoly(generalized_eulerian(info), stride=n + 1)
-    return apply_S(ehrhart_quasi(info), op)
+    cs = generalized_eulerian(info).coeffs
+    den_a = math.lcm(*(c.denominator for c in cs), 1)
+    terms = {(n + 1) * k: c.numerator * (den_a // c.denominator) for k, c in enumerate(cs)}
+    return _series_quasi(terms, den_a, [(c, 1) for c in info.marks])
 
 
 @lru_cache(maxsize=None)
@@ -212,11 +218,14 @@ def verify_rad_theorem(info: RootSystemInfo, n: int) -> bool:
 def verify_shift_relation(info: RootSystemInfo, n: int, k: int, q: int) -> bool:
     """Window-shift consistency at a modulus q coprime to rho: the [1, n]
     count at q must equal chi(q), and the [1-k, n+k] count must equal
-    chi(q - k h)."""
+    chi(q - k h).  Raises ValueError when the two counts together, 2 q^l
+    points, exceed ``_ORACLE_POINT_BUDGET``."""
     if math.gcd(q, info.period_rho) != 1:
         raise ValueError("q must be coprime to rho")
-    if q**info.rank > 10**7:
-        raise ValueError("instance too large for the brute-force oracle")
+    if 2 * q**info.rank > _ORACLE_POINT_BUDGET:
+        raise ValueError(
+            f"2 x {q}^{info.rank} points exceed the oracle budget {_ORACLE_POINT_BUDGET}"
+        )
     chi = char_poly(info, n)
     if oracle_count(info, 1, n, q) != chi(q):
         return False

@@ -4,15 +4,20 @@ machinery that turns rational series into quasi-polynomials.
 ``L(q)`` counts x in Z^l (all coordinates >= 0) with c_1 x_1 + ... + c_l x_l
 <= q, where the c_i are the marks; its generating series is
 1 / prod_{i=0..l} (1 - x^{c_i}) (the extra c_0 = 1 factor accumulates the
-inequality).  The quasi-polynomial is recovered per residue class by Newton
-interpolation on the integer series over one common denominator, with a
-spare node per class as a consistency check.
+inequality).  One routine turns such a series, over any sparse numerator,
+into its quasi-polynomial: the numerator is reduced mod (1 - x^p)^M, p the
+period and M the number of factors, so the series it expands stays shorter
+than p (2M + 1) whatever the numerator's degree; then all p residue classes
+are Newton-interpolated together, lane-wise, on integers over one common
+denominator, with a spare node per class as a consistency check.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, mul, sub
 
 from .quasipoly import QuasiPoly, OperatorPoly, _make, apply_S, minimal_period, sorted_divisors
 from .ratpoly import RatPoly, poly_divmod, poly_gcd
@@ -95,43 +100,66 @@ def series_to_quasipoly(
     numerator: RatPoly, denominator_spec: list[tuple[int, int]]
 ) -> QuasiPoly:
     """Quasi-polynomial whose generating series is
-    numerator / prod_d (1 - x^d)^mult, given as (d, mult) pairs.
-
-    The series is expanded over the integers (times the numerator's common
-    denominator nden), and slot r is the Newton interpolant through the
-    nodes r, r + p, ..., r + dbound p, in integers over nden dbound! p^dbound.
-    """
-    total_deg = sum(d * mult for d, mult in denominator_spec)
-    if not denominator_spec or numerator.degree >= total_deg:
+    numerator / prod_d (1 - x^d)^mult, given as (d, mult) pairs, for a proper
+    numerator: its coefficients over their common denominator go through the
+    lane-wise integer interpolation of ``_series_quasi``."""
+    if not denominator_spec or numerator.degree >= sum(d * m for d, m in denominator_spec):
         raise ValueError("improper rational function")
-    p = math.lcm(*(d for d, _ in denominator_spec))
-    dbound = sum(mult for _, mult in denominator_spec) - 1
-    length = p * (dbound + 3)
     nden = math.lcm(*(c.denominator for c in numerator.coeffs), 1)
-    series = [0] * length
-    for i, c in enumerate(numerator.coeffs):
-        series[i] = c.numerator * (nden // c.denominator)
+    terms = {i: c.numerator * (nden // c.denominator) for i, c in enumerate(numerator.coeffs)}
+    return _series_quasi(terms, nden, denominator_spec)
+
+
+def _series_quasi(terms: dict[int, int], den: int, denominator_spec) -> QuasiPoly:
+    """The eventual quasi-polynomial of (sum_e terms[e] x^e) / den over
+    prod_d (1 - x^d)^mult, for any sparse integer numerator.
+
+    With p = lcm(d) and M = sum(mult), the denominator divides (1 - y)^M,
+    y = x^p, so the numerator is reduced mod (1 - y)^M, which changes the
+    series by a polynomial only: y^Q becomes (1 + (y - 1))^Q below (y - 1)^M.
+    The reduced series is quasi-polynomial from t0 = max(0, deg - sum(d mult)
+    + 1) on.  Lane i, residue t0 + i, is the Newton interpolant through
+    t0 + i + m p, m < M, in integers over den (M-1)! p^(M-1), checked at the
+    spare node m = M; the p lanes go through each step together, as lists."""
+    p = math.lcm(*(d for d, _ in denominator_spec))
+    big_m = sum(mult for _, mult in denominator_spec)
+    num: dict[int, int] = {}
+    for e, a in terms.items():
+        q, r = divmod(e, p)
+        if q < big_m:
+            num[e] = num.get(e, 0) + a
+            continue
+        for j in range(big_m):
+            c = a * math.comb(q, j) * math.comb(q - j - 1, big_m - 1 - j)
+            num[r + p * j] = num.get(r + p * j, 0) + (-c if (big_m - 1 - j) % 2 else c)
+    deg = max((e for e, a in num.items() if a), default=0)
+    t0 = max(0, deg - sum(d * mult for d, mult in denominator_spec) + 1)
+    series = [num.get(e, 0) for e in range(t0 + p * (big_m + 1))]
     for d, mult in denominator_spec:
         for _ in range(mult):
-            for j in range(d, length):
-                series[j] += series[j - d]
-    scale = math.factorial(dbound) * p**dbound
-    rows = []
-    for r in range(p):
-        vals = series[r : r + (dbound + 1) * p : p]
-        newton = []  # scale * (m-th forward difference) / (m! p^m)
-        for m in range(dbound + 1):
-            newton.append(vals[0] * (scale // (math.factorial(m) * p**m)))
-            vals = [v - u for u, v in zip(vals, vals[1:])]
-        row = []  # nested form: newton[m] + (t - r - m p) * (the terms above m)
-        for m in range(dbound, -1, -1):
-            row = [u - (r + m * p) * v for u, v in zip([0] + row, row + [0])]
-            row[0] += newton[m]
-        spare = r + (dbound + 1) * p
-        if sum(c * spare**i for i, c in enumerate(row)) != series[spare] * scale:
-            raise PeriodConsistencyError(f"residue {r} misses node {spare}")
-        rows.append(row)
-    return _make(p, nden * scale, rows)
+            for r in range(d):
+                series[r::d] = accumulate(series[r::d])
+    scale = math.factorial(big_m - 1) * p ** (big_m - 1)
+    nodes = [range(t0 + m * p, t0 + (m + 1) * p) for m in range(big_m + 1)]
+    vals = [series[m.start : m.stop] for m in nodes[:-1]]
+    newton = []  # lane-wise scale * (m-th forward difference) / (m! p^m)
+    for m in range(big_m):
+        w = scale // (math.factorial(m) * p**m)
+        newton.append([v * w for v in vals[0]])
+        vals = [list(map(sub, v, u)) for u, v in zip(vals, vals[1:])]
+    zero = [0] * p
+    row = []  # nested form: newton[m] + (t - node_m) * (the terms above m), lane-wise
+    for m in range(big_m - 1, -1, -1):
+        row = [list(map(sub, u, map(mul, nodes[m], v))) for u, v in zip([zero] + row, row + [zero])]
+        row[0] = list(map(add, row[0], newton[m]))
+    value = zero
+    for c in reversed(row):
+        value = list(map(add, map(mul, value, nodes[-1]), c))
+    for i, (v, s) in enumerate(zip(value, series[nodes[-1].start :])):
+        if v != s * scale:
+            raise PeriodConsistencyError(f"residue {(t0 + i) % p} misses node {nodes[-1][i]}")
+    lanes = list(zip(*row))
+    return _make(p, den * scale, [lanes[(r - t0) % p] for r in range(p)])
 
 
 # -- partial fractions ---------------------------------------------------------

@@ -80,6 +80,26 @@ def test_n_zero_gives_monomial():
         assert char_poly(info, 0) == RatPoly.monomial(info.rank)
 
 
+def _same_form(f, g):
+    return (f.period, f.den, f.rows) == (g.period, g.den, g.rows)
+
+
+def test_char_quasi_series_matches_operator_application():
+    # the generating-series path against the operator kernel it replaced,
+    # R_Phi(S^(n+1)) applied to L_Phi, in canonical (period, den, rows) form
+    for label in ALL_TYPES:
+        info = catalog(label)
+        L, a = ehrhart_quasi(info), generalized_eulerian(info)
+        for n in range(2 * info.period_rho + 2):
+            assert _same_form(char_quasi(info, n), apply_S(L, OperatorPoly(a, n + 1))), (label, n)
+    # far out, only the numerator reduction keeps the series short: without it
+    # n = 10^7 would expand ~3 * 10^8 terms
+    info = catalog("E8")
+    L, a = ehrhart_quasi(info), generalized_eulerian(info)
+    for n in (10**3, 10**5, 10**7):
+        assert _same_form(char_quasi(info, n), apply_S(L, OperatorPoly(a, n + 1))), n
+
+
 def test_char_quasi_rejects_negative_n():
     with pytest.raises(ValueError):
         char_quasi(catalog("A2"), -1)
@@ -240,8 +260,13 @@ def test_shift_relation_needs_large_modulus():
     assert verify_shift_relation(info, 1, 1, 9)
     with pytest.raises(ValueError):
         verify_shift_relation(info, 2, 1, 6)  # gcd(q, rho) != 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceed the oracle budget"):
         verify_shift_relation(catalog("E8"), 1, 1, 101)  # 101^8 points is too many
+
+
+def test_shift_relation_uses_the_oracle_budget():
+    # 2 * 27^5 = 2.9e7 points: inside the oracle budget and the agreement regime
+    assert verify_shift_relation(catalog("D5"), 1, 1, 27)
 
 
 def test_char_poly_is_residue_one_constituent():

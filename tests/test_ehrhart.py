@@ -132,12 +132,12 @@ def _newton_interpolate(start, step, values):
     return poly
 
 
-def reference_series_to_quasipoly(numerator, denominator_spec):
+def reference_series_to_quasipoly(numerator, denominator_spec, t0=0):
     """series_to_quasipoly on a Fraction series with Fraction Newton
-    interpolation per residue class."""
+    interpolation per residue class, through the nodes from t0 on."""
     p = math.lcm(*(d for d, _ in denominator_spec))
     dbound = sum(mult for _, mult in denominator_spec) - 1
-    length = p * (dbound + 3)
+    length = t0 + p * (dbound + 3)
     series = [Fraction(0)] * length
     for i, c in enumerate(numerator.coeffs):
         series[i] = c
@@ -145,11 +145,12 @@ def reference_series_to_quasipoly(numerator, denominator_spec):
         for _ in range(mult):
             for j in range(d, length):
                 series[j] += series[j - d]
-    slots = []
-    for r in range(p):
-        slots.append(_newton_interpolate(r, p, [series[r + j * p] for j in range(dbound + 1)]))
+    slots = [None] * p
+    for r in range(t0, t0 + p):
+        slot = _newton_interpolate(r, p, [series[r + j * p] for j in range(dbound + 1)])
         spare = r + (dbound + 1) * p
-        assert slots[-1](spare) == series[spare]
+        assert slot(spare) == series[spare]
+        slots[r % p] = slot
     return QuasiPoly(p, slots)
 
 
@@ -188,6 +189,25 @@ def test_series_to_quasipoly_rational_numerator():
     spec = [(1, 2), (3, 1)]
     f = series_to_quasipoly(num, spec)
     assert_same_constituents(f, reference_series_to_quasipoly(num, spec))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {7: 2},  # improper, nothing to reduce: 7 = 1 + 3 * 2 with 2 < M = 3
+        {7: 2, 20: -3, 41: 1},  # 20 = 2 + 3 * 6 and 41 = 2 + 3 * 13 are reduced
+        {0: 5, 3000: -1},
+    ],
+)
+def test_series_quasi_reduces_improper_numerators(terms):
+    # numerator / (1 - x)^2 (1 - x^3); the eventual quasi-polynomial, from
+    # the unreduced series interpolated past the numerator's degree
+    spec = [(1, 2), (3, 1)]
+    numerator = RatPoly([terms.get(i, 0) for i in range(max(terms) + 1)])
+    want = reference_series_to_quasipoly(numerator, spec, t0=max(terms))
+    for den in (1, 7):
+        f = linial.ehrhart._series_quasi(terms, den, spec)
+        assert_same_constituents(f, want.scale(Fraction(1, den)))
 
 
 def test_series_to_quasipoly_geometric():
