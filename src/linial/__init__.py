@@ -10,73 +10,15 @@ A numeric root finder plus an exact real-rootedness certificate check that
 all roots lie on the expected vertical line.
 """
 
-from .arrangements import (
-    char_poly,
-    char_quasi,
-    gcd_prime_polynomial,
-    oracle_agreement_bound,
-    oracle_count,
-    verify_corollary1,
-    verify_main_theorem,
-    verify_rad_theorem,
-    verify_shift_relation,
-)
-from .ehrhart import (
-    PeriodConsistencyError,
-    cross_type_relation_check,
-    cyclotomic_factor,
-    decompose_ehrhart,
-    denumerant_count,
-    ehrhart_quasi,
-    partial_fractions,
-    series_to_quasipoly,
-)
-from .eulerian import (
-    eulerian,
-    eulerian_congruence_check,
-    generalized_congruence_operator,
-    generalized_eulerian,
-    generalized_eulerian_by_weyl,
-)
-from .quasipoly import (
-    OperatorPoly,
-    QuasiPoly,
-    apply_S,
-    apply_Sbar,
-    has_gcd_property,
-    minimal_period,
-    operator_product,
-    quasipoly_from_json,
-    quasipoly_to_json,
-    sigma_pow,
-    tilde,
-)
-from .ratpoly import (
-    RatPoly,
-    X,
-    congruent_mod_power,
-    cyclotomic_type,
-    compose_power,
-    divides,
-    moment_divisibility,
-    poly_divmod,
-    poly_gcd,
-    render_poly,
-    residue_split,
-    shift_argument,
-)
-from .rootline import RootReport, find_roots, verify_line
-from .rootsystems import (
-    CLI_LABELS,
-    GroupTooLargeError,
-    PositiveRoot,
-    RootSystemInfo,
-    WeylElement,
-    catalog,
-    highest_root,
-    positive_roots,
-    weyl_elements,
-)
+# Each module's ``__all__`` is its public API; ``__all__`` below lists the
+# names the package documents.
+from .arrangements import *  # noqa: F403
+from .ehrhart import *  # noqa: F403
+from .eulerian import *  # noqa: F403
+from .quasipoly import *  # noqa: F403
+from .ratpoly import *  # noqa: F403
+from .rootline import *  # noqa: F403
+from .rootsystems import *  # noqa: F403
 
 __version__ = "0.1.0"
 
@@ -117,7 +59,6 @@ __all__ = [
     "highest_root",
     "minimal_period",
     "moment_divisibility",
-    "operator_product",
     "oracle_agreement_bound",
     "oracle_count",
     "partial_fractions",

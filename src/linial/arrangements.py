@@ -31,18 +31,21 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .ehrhart import _series_quasi, ehrhart_quasi
+from .ehrhart import PeriodConsistencyError, _series_quasi, ehrhart_quasi
 from .eulerian import generalized_eulerian
 from .quasipoly import (
     OperatorPoly,
     QuasiPoly,
+    _convolve,
+    _make,
+    _moment_table,
     _operator_rows,
-    apply_S,
+    _operator_terms,
     apply_Sbar,
     minimal_period,
     tilde,
 )
-from .ratpoly import RatPoly, cyclotomic_type
+from .ratpoly import RatPoly
 from .rootsystems import RootSystemInfo, positive_roots
 
 __all__ = [
@@ -78,9 +81,10 @@ def char_poly(info: RootSystemInfo, n: int) -> RatPoly:
     without building the others."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    op = OperatorPoly(generalized_eulerian(info), stride=n + 1)
+    terms, den = _operator_terms(OperatorPoly(generalized_eulerian(info), stride=n + 1))
     L = ehrhart_quasi(info)
-    den, (row,) = _operator_rows(L, op, (1 % L.period,), rotate=True)
+    table = _moment_table(terms, L.period, len(L.rows[0]))
+    den, (row,) = _operator_rows(L, table, den, (1 % L.period,))
     return RatPoly(Fraction(c, den) for c in row)
 
 
@@ -166,22 +170,51 @@ def verify_main_theorem(info: RootSystemInfo, n: int) -> bool:
     return lhs == rhs and g % minimal_period(lhs).period == 0
 
 
-def _apply_block_product(
-    start: QuasiPoly, block: int, strides: list[int]
-) -> QuasiPoly:
-    """Apply prod_j (1/block) [block]_{S^{stride_j}} one factor at a time."""
-    acc = start
+def _power_sums(m: int, k: int, width: int) -> dict[int, list[int]]:
+    """``{a: [P_e for e < width]}``, P_e = sum of u^e over u < m, u = a (mod k),
+    in O(width^2) per class for any m: with u = a + k j, j < J, P_e is
+    sum_i C(e, i) a^(e-i) k^i S_i, and S_i = sum_{j<J} j^i solves
+    J^(i+1) = sum_{t<=i} C(i+1, t) S_t."""
+    C = [[math.comb(e, i) for i in range(e + 1)] for e in range(width + 1)]
+    out = {}
+    for a in range(min(k, m)):
+        J, S = (m - a + k - 1) // k, []
+        for i in range(width):
+            S.append((J ** (i + 1) - sum(c * v for c, v in zip(C[i + 1], S))) // (i + 1))
+        out[a] = [
+            sum(c * a ** (e - i) * k**i * S[i] for i, c in enumerate(C[e])) for e in range(width)
+        ]
+    return out
+
+
+def _apply_block_product(start: QuasiPoly, block: int, strides: list[int]) -> QuasiPoly:
+    """Apply prod_j (1/block) [block]_{S^{s_j}} to ``start`` in one kernel pass.
+
+    The product shifts by sum_j s_j u_j, u_j < block independent, so its
+    moment table is the factors' tables convolved.  With n = start's minimal
+    period, factor j moves class a mod n' = n / gcd(s_j, n) of the power sums
+    of u < block to class s_j a mod n, times (-s_j)^e; sums are kept per n'.
+    """
     if block == 1:
-        return acc
-    coeffs = cyclotomic_type(block).scale(Fraction(1, block))
+        return start
+    f = minimal_period(start)
+    n, width = f.period, len(f.rows[0])
+    sums, tables = {}, []
     for s in strides:
-        acc = apply_S(acc, OperatorPoly(coeffs, stride=s))
-    return acc
+        k = n // math.gcd(s, n)
+        if k not in sums:
+            sums[k] = _power_sums(block, k, width)
+        factor = {s * a % n: [v * (-s) ** e for e, v in enumerate(p)] for a, p in sums[k].items()}
+        tables.append(factor)
+    table = _convolve(tables, n, width)
+    den, rows = _operator_rows(f, table, block ** len(strides), range(n))
+    return _make(n, den, rows)
 
 
 def verify_corollary1(info: RootSystemInfo, n: int) -> bool:
-    """chi_quasi(n) from chi_quasi(gcd-1) through the [m-hat] block product,
-    m-hat = (n+1)/gcd(n+1, rho)."""
+    """chi_quasi(n) from chi_quasi(g - 1), g = gcd(n+1, rho), through the
+    block product prod_j (1/m-hat) [m-hat]_{S^(c_j g)}, m-hat = (n+1)/g, applied
+    in one moment pass (``_apply_block_product``)."""
     g = math.gcd(n + 1, info.period_rho)
     mhat = (n + 1) // g
     base = char_quasi(info, g - 1)
@@ -191,20 +224,23 @@ def verify_corollary1(info: RootSystemInfo, n: int) -> bool:
 
 def gcd_prime_polynomial(info: RootSystemInfo, n: int) -> RatPoly:
     """For gcd(n+1, rho) = 1: the polynomial
-    prod_j (1/(n+1)) [n+1]_{S^{c_j}} applied to t^l, which must equal the
-    (period-1) characteristic quasi-polynomial."""
+    prod_j (1/(n+1)) [n+1]_{S^{c_j}} applied to t^l in one moment pass, which
+    must equal the (period-1) characteristic quasi-polynomial.  Raises
+    PeriodConsistencyError if the product is not a polynomial."""
     if math.gcd(n + 1, info.period_rho) != 1:
         raise ValueError("requires gcd(n+1, rho) = 1")
     start = QuasiPoly.from_poly(RatPoly.monomial(info.rank))
-    built = _apply_block_product(start, n + 1, list(info.marks))
-    built = minimal_period(built)
-    assert built.period == 1
+    built = minimal_period(_apply_block_product(start, n + 1, list(info.marks)))
+    if built.period != 1:
+        raise PeriodConsistencyError(f"block product has period {built.period}, not 1")
     return built.constituents[0]
 
 
 def verify_rad_theorem(info: RootSystemInfo, n: int) -> bool:
     """Characteristic polynomial at level gcd(n+1, rho) - 1 from the one at
-    level gcd(n+1, rad(rho)) - 1 through the [eta] block product."""
+    level gcd(n+1, rad(rho)) - 1 through the block product
+    prod_j (1/eta) [eta]_{S^(c_j g_rad)}, eta = g / g_rad, applied in one
+    moment pass."""
     g = math.gcd(n + 1, info.period_rho)
     gr = math.gcd(n + 1, info.rad_rho)
     eta = g // gr

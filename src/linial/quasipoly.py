@@ -27,12 +27,11 @@ from itertools import accumulate, chain, zip_longest
 from operator import add, mul
 from typing import Iterable
 
-from .ratpoly import RatPoly, compose_power
+from .ratpoly import RatPoly
 
 __all__ = [
     "QuasiPoly",
     "OperatorPoly",
-    "operator_product",
     "minimal_period",
     "has_gcd_property",
     "sigma_pow",
@@ -170,15 +169,6 @@ class OperatorPoly:
             raise ValueError("stride must be >= 1")
 
 
-def operator_product(*factors: tuple[RatPoly, int]) -> OperatorPoly:
-    """Expand a product of operator factors ``(p_i, m_i) == p_i(S^(m_i))``
-    into a single stride-1 OperatorPoly."""
-    acc = RatPoly.one()
-    for p, m in factors:
-        acc = acc * compose_power(p, m)
-    return OperatorPoly(acc, 1)
-
-
 def minimal_period(f: QuasiPoly) -> QuasiPoly:
     """Smallest-period representation equal to ``f`` pointwise."""
     n, rows = f.period, f.rows
@@ -232,37 +222,68 @@ def tilde(f: QuasiPoly, k: int) -> QuasiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Operator application: the hot path of the package.  With s_k = m k, the
-# terms of sum_k a_k S^(m k) f that read the same source row c combine as
+# Operator application: the hot path of the package.  An operator that
+# shifts by s with weight a, summed over its terms, acts on a source row c as
 #
-#     sum_k a_k c(t - s_k) = sum_p t^p sum_e C(p+e, e) c_{p+e} M_e,
-#     M_e = sum_k a_k (-s_k)^e,
+#     sum a c(t - s) = sum_p t^p sum_e C(p+e, e) c_{p+e} M_e,
+#     M_e = sum a (-s)^e,
 #
-# so ``_operator_rows`` takes power moments once per class d = s_k mod n (a
-# single class for S-bar) and binomial-weighted columns once per source row;
-# a (slot, class) pair then costs one pass over the flattened (p, e) terms,
-# not one shift per k, all on integers.
-# ``apply_S``/``apply_Sbar`` request every slot; ``char_poly`` requests one.
+# so it enters only through its moment table {d: [M_e]}: the power moments
+# of its terms, one list per class d = s mod n (a single class for S-bar),
+# over one integer denominator.  ``_moment_table`` builds a table from
+# (shift, weight) terms; ``_operator_rows`` then takes binomial-weighted
+# columns once per source row, and a (slot, class) pair costs one pass
+# over the flattened (p, e) terms, all on integers.  A product of operators
+# shifts by the sum of its factors' shifts, so its table is the factors'
+# tables convolved, cyclic in d and binomial in e, by ``_convolve``; one
+# kernel pass applies the whole product.  ``apply_S``/``apply_Sbar``
+# request every slot; ``char_poly`` requests one.
 
 
-def _operator_rows(f: QuasiPoly, op: OperatorPoly, slots, rotate: bool):
-    """``(den, rows)`` of the listed slots of ``sum_k a_k S^(m k) f``
-    (``rotate``) or of its S-bar variant, at f's stored period."""
-    n, width, cs = f.period, len(f.rows[0]), op.coeffs.coeffs
-    den_a = math.lcm(*(c.denominator for c in cs), 1)
-    moments: dict[int, list[int]] = {}
-    for k, c in enumerate(cs):
-        ak, s = c.numerator * (den_a // c.denominator), op.stride * k
-        if ak:
-            mom = moments.setdefault(s % n if rotate else 0, [0] * width)
+def _moment_table(terms, modulus: int, width: int) -> dict[int, list[int]]:
+    """``{d: [M_0, ..., M_(width-1)]}``, M_e = sum a (-s)^e over the integer
+    terms (s, a) with s = d (mod ``modulus``)."""
+    table: dict[int, list[int]] = {}
+    for s, a in terms:
+        if a:
+            mom = table.setdefault(s % modulus, [0] * width)
             for e in range(width):
-                mom[e] += ak
-                ak *= -s
+                mom[e] += a
+                a *= -s
+    return table
+
+
+def _convolve(tables, modulus: int, width: int) -> dict[int, list[int]]:
+    """The table of the product of operators with these tables: each step
+    sums C(e, i) X_i Y_(e-i) over the class pairs adding up to d (mod ``modulus``)."""
+    binom = [[math.comb(e, i) for i in range(e + 1)] for e in range(width)]
+    out = {0: [int(e == 0) for e in range(width)]}
+    for y in tables:
+        x, out = out, {}
+        for d, a in x.items():
+            for d2, b in y.items():
+                mom = out.setdefault((d + d2) % modulus, [0] * width)
+                for e, row in enumerate(binom):
+                    mom[e] += sum(map(mul, row, map(mul, a, b[e::-1])))
+    return out
+
+
+def _operator_terms(op: OperatorPoly):
+    """The (shift, weight) terms of ``op`` over their common denominator."""
+    cs = op.coeffs.coeffs
+    den = math.lcm(*(c.denominator for c in cs), 1)
+    return [(op.stride * k, c.numerator * (den // c.denominator)) for k, c in enumerate(cs)], den
+
+
+def _operator_rows(f: QuasiPoly, table: dict[int, list[int]], den: int, slots):
+    """``(den, rows)`` of the listed slots of the operator with moment table
+    ``table`` over ``den`` applied to ``f``, at f's stored period."""
+    n, width = f.period, len(f.rows[0])
     # the (p, e) terms with p + e < width, flattened p-major
     pe = [(p, e) for p in range(width) for e in range(width - p)]
     bounds = list(accumulate(range(width, 0, -1), initial=0))
     weights = [math.comb(p + e, e) for p, e in pe]
-    moments = {d: [mom[e] for _, e in pe] for d, mom in moments.items()}
+    moments = {d: [mom[e] for _, e in pe] for d, mom in table.items()}
     weighted: dict[int, list[int]] = {}
     out = []
     for r in slots:
@@ -275,12 +296,14 @@ def _operator_rows(f: QuasiPoly, op: OperatorPoly, slots, rotate: bool):
                 cols = weighted[j] = [row[p + e] * w for (p, e), w in zip(pe, weights)]
             acc = list(map(add, acc, map(mul, cols, mom)))
         out.append([sum(acc[bounds[p] : bounds[p + 1]]) for p in range(width)])
-    return f.den * den_a, out
+    return f.den * den, out
 
 
 def _apply_operator(f: QuasiPoly, op: OperatorPoly, rotate: bool) -> QuasiPoly:
     f = minimal_period(f)
-    den, rows = _operator_rows(f, op, range(f.period), rotate)
+    terms, den = _operator_terms(op)
+    table = _moment_table(terms, f.period if rotate else 1, len(f.rows[0]))
+    den, rows = _operator_rows(f, table, den, range(f.period))
     return _make(f.period, den, rows)
 
 

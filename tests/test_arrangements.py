@@ -5,12 +5,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
 
 from conftest import ALL_TYPES, SMALL_TYPES
 from golden_tables import GOLDEN
+from linial import arrangements
 from linial.arrangements import (
     char_poly,
     char_quasi,
@@ -23,9 +25,10 @@ from linial.arrangements import (
     verify_shift_relation,
 )
 from linial.ehrhart import ehrhart_quasi
+from linial.ehrhart import PeriodConsistencyError
 from linial.eulerian import generalized_eulerian
-from linial.quasipoly import OperatorPoly, apply_S, minimal_period
-from linial.ratpoly import RatPoly, render_poly
+from linial.quasipoly import OperatorPoly, QuasiPoly, apply_S, minimal_period
+from linial.ratpoly import RatPoly, cyclotomic_type, render_poly
 from linial.rootsystems import catalog, positive_roots
 
 _CHUNK = 1 << 21
@@ -239,6 +242,100 @@ def test_period_divides_gcd():
             f = char_quasi(info, n)
             g = gcd(n + 1, info.period_rho)
             assert g % minimal_period(f).period == 0, (label, n)
+
+
+def reference_block_product(start, block, strides):
+    """Reference for ``_apply_block_product``: one ``apply_S`` per factor
+    (1/block) [block]_{S^s}."""
+    acc = start
+    if block == 1:
+        return acc
+    coeffs = cyclotomic_type(block).scale(Fraction(1, block))
+    for s in strides:
+        acc = apply_S(acc, OperatorPoly(coeffs, stride=s))
+    return acc
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_block_product_matches_reference_alcove(label):
+    # one moment pass against the factor-by-factor chain, on L_Phi (period
+    # rho) and on zero: strides prime to rho, mixed, and multiples of rho
+    info = catalog(label)
+    rho = info.period_rho
+    stride_sets = ([1, 2, 3], [5, 7, rho], [c * rho for c in info.marks])
+    for f in (ehrhart_quasi(info), QuasiPoly.zero(rho)):
+        for m in (1, 2, 3, 5):
+            for strides in stride_sets:
+                got = arrangements._apply_block_product(f, m, strides)
+                assert got == reference_block_product(f, m, strides), (m, strides)
+
+
+def test_block_products_of_the_identities_are_bit_identical(monkeypatch):
+    # every block product the three identity checks make for n = 0..rho keeps
+    # the (period, den, rows) of the factor-by-factor chain
+    calls = []
+    real = arrangements._apply_block_product
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(arrangements, "_apply_block_product", record)
+    for label in ALL_TYPES:
+        info = catalog(label)
+        for n in range(info.period_rho + 1):
+            assert verify_corollary1(info, n) and verify_rad_theorem(info, n), (label, n)
+            if gcd(n + 1, info.period_rho) == 1:
+                gcd_prime_polynomial(info, n)
+    assert len(calls) == 435
+    for args in calls:
+        assert _same_form(real(*args), reference_block_product(*args)), args[1:]
+
+
+def test_block_products_at_large_n():
+    # the power sums take O(l^2) per class at any block size: E8 at
+    # n + 1 = 10^7 + 1 (coprime to rho = 60) and n + 1 = 10^7 + 2 (g = 6,
+    # m-hat = 1666667), against the generating-series path
+    info = catalog("E8")
+    assert gcd_prime_polynomial(info, 10**7) == char_poly(info, 10**7)
+    assert verify_corollary1(info, 10**7 + 1)
+
+
+WRONG_BLOCK_PRODUCTS = {
+    "block+1": lambda real, start, m, strides: real(start, m + 1, strides),
+    "stride+1": lambda real, start, m, strides: real(start, m, [s + 1 for s in strides]),
+}
+
+# n per check: corollary 1 at m-hat = 2, the rad theorem, gcd-prime at n + 1 = 5
+IDENTITY_NS = {"E6": (3, 1, 4), "F4": (7, 3, 4)}
+
+
+@pytest.mark.parametrize("wrong", sorted(WRONG_BLOCK_PRODUCTS))
+@pytest.mark.parametrize("label", sorted(IDENTITY_NS))
+def test_identity_checks_fail_on_a_wrong_block_product(monkeypatch, label, wrong):
+    info = catalog(label)
+    n_cor, n_rad, n_prime = IDENTITY_NS[label]
+    assert verify_corollary1(info, n_cor) and verify_rad_theorem(info, n_rad)
+    assert gcd_prime_polynomial(info, n_prime) == char_poly(info, n_prime)
+    real = arrangements._apply_block_product
+    monkeypatch.setattr(
+        arrangements, "_apply_block_product", partial(WRONG_BLOCK_PRODUCTS[wrong], real)
+    )
+    assert not verify_corollary1(info, n_cor)
+    # E6 has rho = rad(rho), so eta = 1 at every n: its rad theorem applies
+    # no factor whose stride could be wrong
+    assert verify_rad_theorem(info, n_rad) == (label == "E6" and wrong == "stride+1")
+    assert gcd_prime_polynomial(info, n_prime) != char_poly(info, n_prime)
+
+
+def test_gcd_prime_polynomial_refuses_a_periodic_product(monkeypatch):
+    # an explicit error, which python -O does not strip as it would an assert
+    info = catalog("E6")
+    real = arrangements._apply_block_product
+    periodic = QuasiPoly(2, (RatPoly.zero(), RatPoly.one()))
+    monkeypatch.setattr(arrangements, "_apply_block_product", lambda *a: real(*a) + periodic)
+    with pytest.raises(PeriodConsistencyError, match="period 2"):
+        gcd_prime_polynomial(info, 4)
 
 
 def test_gcd_prime_polynomial():

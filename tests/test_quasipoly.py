@@ -16,14 +16,13 @@ from linial.quasipoly import (
     apply_Sbar,
     has_gcd_property,
     minimal_period,
-    operator_product,
     quasipoly_from_json,
     quasipoly_to_json,
     sigma_pow,
     sorted_divisors,
     tilde,
 )
-from linial.ratpoly import RatPoly, cyclotomic_type, divides, shift_argument
+from linial.ratpoly import RatPoly, compose_power, cyclotomic_type, divides, shift_argument
 from linial.rootsystems import catalog
 
 
@@ -206,6 +205,15 @@ def test_operator_linearity():
         lhs = apply_S(f.scale(a) + g, op)
         rhs = apply_S(f, op).scale(a) + apply_S(g, op)
         assert lhs == rhs
+
+
+def operator_product(*factors):
+    """Expand a product of operator factors ``(p_i, m_i) == p_i(S^(m_i))``
+    into a single stride-1 OperatorPoly."""
+    acc = RatPoly.one()
+    for p, m in factors:
+        acc = acc * compose_power(p, m)
+    return OperatorPoly(acc, 1)
 
 
 def test_operator_product_expands():
