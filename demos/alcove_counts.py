@@ -5,9 +5,10 @@ number of nonnegative integer solutions of  c_1 x_1 + ... + c_l x_l <= q
 with the type's coefficient vector (c_1, ..., c_l).  We compute it
 
   1. directly (a small dynamic program over the coefficients),
-  2. as a quasi-polynomial extracted from the rational generating function
-     via partial fractions, and
-  3. re-assembled from its per-denominator decomposition,
+  2. as a quasi-polynomial interpolated from the series of the rational
+     generating function, and
+  3. re-assembled from its decomposition by cyclotomic order d, each piece
+     projected from L's slots with Ramanujan sums,
 
 and confirm all three agree.  The decomposition also exposes the period
 structure: the piece for divisor d has period d and a predictable degree.
@@ -31,7 +32,7 @@ for label in ("A2", "B3", "G2", "F4"):
     print("  q       :", " ".join(f"{q:4d}" for q in q_values))
     print("  count   :", " ".join(f"{v:4d}" for v in direct))
     assert direct == from_gf, "generating-function route disagrees"
-    print("  (partial-fraction quasi-polynomial agrees on every value)")
+    print("  (generating-series quasi-polynomial agrees on every value)")
 
     assert minimal_period(L).period == info.period_rho
 

@@ -42,7 +42,6 @@ __all__ = [
     "compose_power",
     "congruent_mod_power",
     "cross_type_relation_check",
-    "cyclotomic_factor",
     "cyclotomic_type",
     "decompose_ehrhart",
     "denumerant_count",
@@ -61,14 +60,11 @@ __all__ = [
     "moment_divisibility",
     "oracle_agreement_bound",
     "oracle_count",
-    "partial_fractions",
     "poly_divmod",
     "poly_gcd",
     "positive_roots",
-    "quasipoly_from_json",
     "quasipoly_to_json",
     "render_poly",
-    "residue_split",
     "series_to_quasipoly",
     "shift_argument",
     "sigma_pow",

@@ -240,7 +240,8 @@ def verify_rad_theorem(info: RootSystemInfo, n: int) -> bool:
     """Characteristic polynomial at level gcd(n+1, rho) - 1 from the one at
     level gcd(n+1, rad(rho)) - 1 through the block product
     prod_j (1/eta) [eta]_{S^(c_j g_rad)}, eta = g / g_rad, applied in one
-    moment pass."""
+    moment pass.  At eta = 1 both sides are one polynomial and this holds
+    trivially; ``linial verify`` then omits the check."""
     g = math.gcd(n + 1, info.period_rho)
     gr = math.gcd(n + 1, info.rad_rho)
     eta = g // gr

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
@@ -225,13 +224,6 @@ def _oracle_moduli(info, n: int, q_max: int) -> range:
     return qs
 
 
-def _oracle_row(label: str, n: int, q: int):
-    info = catalog(label)
-    formula = char_quasi(info, n).eval(q)
-    count = oracle_count(info, 1, n, q)
-    return q, formula, count
-
-
 def cmd_verify(args) -> int:
     info = catalog(args.type)
     n = args.n
@@ -254,8 +246,10 @@ def cmd_verify(args) -> int:
     if args.mode in ("formula", "both"):
         checks["main"] = verify_main_theorem(info, n)
         checks["corollary1"] = verify_corollary1(info, n)
-        checks["rad"] = verify_rad_theorem(info, n)
-        if gcd(n + 1, info.period_rho) == 1:
+        g = gcd(n + 1, info.period_rho)
+        if g > gcd(n + 1, info.rad_rho):  # eta = 1 would compare a polynomial with itself
+            checks["rad"] = verify_rad_theorem(info, n)
+        if g == 1:
             prime_poly = gcd_prime_polynomial(info, n)
             checks["gcd_prime"] = prime_poly == p and record["period"] == 1
         for name in ("main", "corollary1", "rad", "gcd_prime"):
@@ -264,21 +258,8 @@ def cmd_verify(args) -> int:
 
     if args.mode in ("oracle", "both"):
         record["oracle_moduli"] = [qs.start, qs.stop - 1]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(
-                    pool.map(
-                        _oracle_row,
-                        [info.label] * len(qs),
-                        [n] * len(qs),
-                        qs,
-                    )
-                )
-        else:
-            results = [_oracle_row(info.label, n, q) for q in qs]
-        mismatches = [
-            (q, formula, count) for q, formula, count in results if formula != count
-        ]
+        results = ((q, f.eval(q), oracle_count(info, 1, n, q)) for q in qs)
+        mismatches = [(q, formula, count) for q, formula, count in results if formula != count]
         checks["oracle"] = not mismatches
         if mismatches and first_failure is None:
             q, formula, count = mismatches[0]
@@ -502,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=12,
         help="largest modulus for the oracle sweep from max(1, n(h-1)) (default: 12)",
     )
-    p_verify.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p_verify.set_defaults(func=cmd_verify)
 
     p_ehr = sub.add_parser("ehrhart", help="alcove lattice counts vs. formula")

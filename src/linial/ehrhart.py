@@ -10,6 +10,12 @@ period and M the number of factors, so the series it expands stays shorter
 than p (2M + 1) whatever the numerator's degree; then all p residue classes
 are Newton-interpolated together, lane-wise, on integers over one common
 denominator, with a spare node per class as a consistency check.
+
+L splits into one piece per cyclotomic order d dividing a mark: the part
+of L whose terms zeta^t P(t) have zeta a primitive d-th root of unity.  It
+is an integer projection of L's slots: slot r of the piece is
+(1/d) sum_{a < d} c_d(r - a) tilde(L, d)[a], with c_d(k) the Ramanujan sum
+over the primitive d-th roots of unity.
 """
 
 from __future__ import annotations
@@ -19,18 +25,23 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul, sub
 
-from .quasipoly import QuasiPoly, OperatorPoly, _make, apply_S, minimal_period, sorted_divisors
-from .ratpoly import RatPoly, poly_divmod, poly_gcd
+from .quasipoly import (
+    OperatorPoly,
+    QuasiPoly,
+    _make,
+    apply_S,
+    minimal_period,
+    sorted_divisors,
+    tilde,
+)
+from .ratpoly import RatPoly
 from .rootsystems import RootSystemInfo
 
 __all__ = [
     "PeriodConsistencyError",
     "denumerant_count",
-    "denumerant_count_slow",
     "ehrhart_quasi",
     "series_to_quasipoly",
-    "partial_fractions",
-    "cyclotomic_factor",
     "decompose_ehrhart",
     "cross_type_relation_check",
 ]
@@ -65,25 +76,6 @@ def denumerant_count(info: RootSystemInfo, q: int) -> int:
     if q < 0:
         raise ValueError("q must be >= 0")
     return _alcove_series(info.marks, q + 1)[q]
-
-
-def denumerant_count_slow(info: RootSystemInfo, q: int) -> int:
-    """Reference implementation: literal nested loops over x_l..x_1.
-
-    Exponential in rank * q; only for cross-checking the series version on
-    small instances.
-    """
-    if q < 0:
-        raise ValueError("q must be >= 0")
-    cs = info.marks[1:]  # drop c_0
-
-    def rec(i: int, rem: int) -> int:
-        if i == len(cs):
-            return 1
-        c = cs[i]
-        return sum(rec(i + 1, rem - c * x) for x in range(rem // c + 1))
-
-    return rec(0, q)
 
 
 # -- interpolation -----------------------------------------------------------
@@ -162,124 +154,36 @@ def _series_quasi(terms: dict[int, int], den: int, denominator_spec) -> QuasiPol
     return _make(p, den * scale, [lanes[(r - t0) % p] for r in range(p)])
 
 
-# -- partial fractions ---------------------------------------------------------
+# -- decomposition by cyclotomic order ----------------------------------------
 
 
-def partial_fractions(numerator: RatPoly, factors: list[RatPoly]) -> list[RatPoly]:
-    """Numerators g_i with sum_i g_i * prod_{j != i} f_j = numerator and
-    deg g_i < deg f_i, for pairwise-coprime factors; exact linear solve."""
-    degs = [f.degree for f in factors]
-    if any(f.is_zero or f.degree < 1 for f in factors):
-        raise ValueError("factors must be non-constant")
-    if numerator.degree >= sum(degs):
-        raise ValueError("improper rational function")
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if poly_gcd(factors[i], factors[j]).degree > 0:
-                raise ValueError("factors are not pairwise coprime")
-
-    cofactors = []
-    for i in range(len(factors)):
-        acc = RatPoly.one()
-        for j, f in enumerate(factors):
-            if j != i:
-                acc = acc * f
-        cofactors.append(acc)
-
-    size = sum(degs)
-    # columns: one unknown per coefficient t^k of each g_i
-    cols = []
-    for i, f in enumerate(factors):
-        for k in range(f.degree):
-            shifted = RatPoly.monomial(k) * cofactors[i]
-            cols.append([shifted.coeff(row) for row in range(size)])
-    rhs = [numerator.coeff(row) for row in range(size)]
-
-    # Gaussian elimination with partial pivoting, exact over Q
-    mat = [[cols[c][r] for c in range(size)] + [rhs[r]] for r in range(size)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if mat[r][col] != 0), None)
-        if pivot is None:
-            raise RuntimeError("singular partial-fraction system")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        for r in range(size):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    solution = [mat[r][size] for r in range(size)]
-
-    out = []
-    pos = 0
-    for f in factors:
-        out.append(RatPoly(solution[pos : pos + f.degree]))
-        pos += f.degree
-    return out
-
-
-# -- cyclotomic grouping -------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_factor(d: int) -> RatPoly:
-    """The factor of 1 - x^c attached to primitive d-th roots of unity,
-    normalized to constant term 1: psi_1 = 1 - x, psi_d = Phi_d for d >= 2,
-    so that 1 - x^c = prod_{d | c} psi_d."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if d == 1:
-        return RatPoly((1, -1))
-    # Phi_d = (x^d - 1) / prod_{e | d, e < d} Phi_e, with Phi_1 = x - 1
-    num = RatPoly.monomial(d) - RatPoly.one()
-    den = RatPoly((-1, 1))  # Phi_1
-    for e in sorted_divisors(d)[1:-1]:
-        den = den * cyclotomic_factor(e)
-    quotient, rem = poly_divmod(num, den)
-    assert rem.is_zero
-    return quotient
+def _ramanujan(d: int, k: int) -> int:
+    """c_d(k), the sum of zeta^k over the primitive d-th roots of unity,
+    from the recursion sum_{e | d} c_e(k) = d [d | k]."""
+    return d * (k % d == 0) - sum(_ramanujan(e, k) for e in sorted_divisors(d)[:-1])
 
 
 def decompose_ehrhart(info: RootSystemInfo) -> list[tuple[int, QuasiPoly]]:
     """Split L into one quasi-polynomial piece per cyclotomic order d,
     where d runs over the divisors of the marks (= the distinct marks for
-    every catalog type); the piece for d has period dividing d and degree
-    at most (multiplicity of d) - 1.  Pieces sum pointwise to L."""
-    orders = sorted({e for c in info.marks for e in sorted_divisors(c)})
-    mult = {d: sum(1 for c in info.marks if c % d == 0) for d in orders}
+    every catalog type): the piece for d is the part of L whose terms
+    zeta^t P(t) have zeta a primitive d-th root of unity.  It has period
+    dividing d and degree at most (number of marks d divides) - 1, and the
+    pieces sum pointwise to L.
 
-    factors = [cyclotomic_factor(d) ** mult[d] for d in orders]
-    check = RatPoly.one()
-    for f in factors:
-        check = check * f
-    target = RatPoly.one()
-    for c in info.marks:
-        target = target * (RatPoly.one() - RatPoly.monomial(c))
-    assert check == target, "cyclotomic grouping failed to recombine"
-
-    numerators = partial_fractions(RatPoly.one(), factors)
+    Each such d divides rho, and with T = tilde(L, d), the average of L's
+    slots over each class a mod d, slot r of the piece is
+    (1/d) sum_{a < d} c_d(r - a) T[a], c_d the Ramanujan sum."""
+    L = ehrhart_quasi(info)
     parts = []
-    for d, g in zip(orders, numerators):
-        # convert g / psi_d^m to the (1 - x^d)^m denominator
-        conv = RatPoly.one()
-        for e in sorted_divisors(d):
-            if e != d:
-                conv = conv * cyclotomic_factor(e)
-        num = g * conv**mult[d]
-        part = series_to_quasipoly(num, [(d, mult[d])])
-        parts.append((d, minimal_period(part)))
+    for d in sorted({e for c in info.marks for e in sorted_divisors(c)}):
+        t = tilde(L, d).at_period(d)
+        rows = [
+            [sum(_ramanujan(d, r - a) * v for a, v in enumerate(col)) for col in zip(*t.rows)]
+            for r in range(d)
+        ]
+        parts.append((d, minimal_period(_make(d, t.den * d, rows))))
     return parts
-
-
-def _apply_factors(f, operator):
-    """Apply an operator given either as a single OperatorPoly or as a
-    sequence of (polynomial, stride) factors, one factor at a time.
-    Shift operators commute, so the order of factors does not matter."""
-    if isinstance(operator, OperatorPoly):
-        return apply_S(f, operator)
-    for coeffs, stride in operator:
-        f = apply_S(f, OperatorPoly(coeffs, stride))
-    return f
 
 
 def cross_type_relation_check(
@@ -289,10 +193,13 @@ def cross_type_relation_check(
     rhs_operator=None,
 ) -> bool:
     """Whether operator(L of lhs) equals L of rhs (optionally with an
-    operator applied on the right-hand side too).  Operators may be a
-    single OperatorPoly or a sequence of (polynomial, stride) factors."""
-    lhs = _apply_factors(ehrhart_quasi(lhs_info), operator)
-    rhs = ehrhart_quasi(rhs_info)
-    if rhs_operator is not None:
-        rhs = _apply_factors(rhs, rhs_operator)
-    return lhs == rhs
+    operator applied on the right-hand side too).  Each operator is a
+    sequence of (polynomial, stride) factors, applied one at a time; shift
+    operators commute, so their order does not matter."""
+    sides = []
+    for info, factors in ((lhs_info, operator), (rhs_info, rhs_operator or ())):
+        f = ehrhart_quasi(info)
+        for coeffs, stride in factors:
+            f = apply_S(f, OperatorPoly(coeffs, stride))
+        sides.append(f)
+    return sides[0] == sides[1]

@@ -39,7 +39,6 @@ __all__ = [
     "apply_S",
     "apply_Sbar",
     "quasipoly_to_json",
-    "quasipoly_from_json",
 ]
 
 
@@ -331,10 +330,3 @@ def quasipoly_to_json(f: QuasiPoly) -> dict:
         "period": f.period,
         "constituents": [[str(c) for c in p.coeffs] for p in f.constituents],
     }
-
-
-def quasipoly_from_json(obj: dict) -> QuasiPoly:
-    return QuasiPoly(
-        int(obj["period"]),
-        tuple(RatPoly(Fraction(c) for c in cs) for cs in obj["constituents"]),
-    )

@@ -33,7 +33,6 @@ __all__ = [
     "derivative",
     "congruent_mod_power",
     "moment_divisibility",
-    "residue_split",
     "render_poly",
 ]
 
@@ -277,17 +276,6 @@ def moment_divisibility(g: RatPoly, n: int, ell: int) -> bool:
         if any(s != sums[0] for s in sums[1:]):
             return False
     return True
-
-
-def residue_split(g: RatPoly, n: int) -> list[RatPoly]:
-    """Split ``g`` into its n residue-class pieces; piece j holds the
-    monomials with exponent = j (mod n).  Pieces sum back to ``g``."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    pieces: list[list[Fraction]] = [[Fraction(0)] * len(g.coeffs) for _ in range(n)]
-    for k, a in enumerate(g.coeffs):
-        pieces[k % n][k] = a
-    return [RatPoly(p) for p in pieces]
 
 
 # ---------------------------------------------------------------------------

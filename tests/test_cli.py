@@ -92,8 +92,11 @@ def test_verify_formula_mode(capsys):
     doc = json.loads(out)
     assert doc["checks"]["main"] is True
     assert doc["checks"]["corollary1"] is True
-    assert doc["checks"]["rad"] is True
+    assert "rad" not in doc["checks"]  # eta = gcd(4, 6) / gcd(4, 6) = 1: nothing to check
     assert doc["period"] == 2
+    code, out, _ = run_cli(capsys, "verify", "F4", "3", "--mode", "formula")
+    assert code == 0
+    assert json.loads(out)["checks"]["rad"] is True  # eta = gcd(4, 12) / gcd(4, 6) = 2
 
 
 def test_verify_gcd_prime_key_only_when_coprime(capsys):
@@ -176,10 +179,12 @@ def test_verify_oracle_rejects_empty_modulus_range(capsys, mode):
     assert "--q-max must be >= 1" in err
 
 
-def test_verify_oracle_jobs_deterministic(capsys):
-    a = run_cli(capsys, "verify", "B2", "1", "--mode", "both", "--q-max", "6")
-    b = run_cli(capsys, "verify", "B2", "1", "--mode", "both", "--q-max", "6", "--jobs", "2")
-    assert a == b
+def test_verify_rejects_jobs_flag(capsys):
+    # the oracle sweep runs serially; --jobs is a usage error that names the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "B2", "1", "--mode", "both", "--q-max", "6", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_ehrhart_markdown_and_exit(capsys):

@@ -1,9 +1,11 @@
-"""Alcove lattice-point counts, their quasi-polynomials, partial fractions,
-and the per-mark decomposition."""
+"""Alcove lattice-point counts, their quasi-polynomials, and the per-mark
+decomposition, checked against references kept here: nested-loop counting,
+and the decomposition by partial fractions over Q[x]."""
 
 import math
 import types
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -12,18 +14,131 @@ from conftest import ALL_TYPES
 from linial.ehrhart import (
     PeriodConsistencyError,
     cross_type_relation_check,
-    cyclotomic_factor,
     decompose_ehrhart,
     denumerant_count,
-    denumerant_count_slow,
     ehrhart_quasi,
-    partial_fractions,
     series_to_quasipoly,
 )
 import linial.ehrhart
-from linial.quasipoly import QuasiPoly, minimal_period, sigma_pow, tilde
-from linial.ratpoly import RatPoly, cyclotomic_type
+from linial.quasipoly import QuasiPoly, minimal_period, sigma_pow, sorted_divisors, tilde
+from linial.ratpoly import RatPoly, cyclotomic_type, poly_divmod, poly_gcd
 from linial.rootsystems import catalog
+
+
+def denumerant_count_slow(info, q):
+    """Reference count: literal nested loops over x_1..x_l, exponential in
+    rank * q, so only for small instances."""
+    if q < 0:
+        raise ValueError("q must be >= 0")
+    cs = info.marks[1:]  # drop c_0
+
+    def rec(i, rem):
+        if i == len(cs):
+            return 1
+        c = cs[i]
+        return sum(rec(i + 1, rem - c * x) for x in range(rem // c + 1))
+
+    return rec(0, q)
+
+
+def partial_fractions(numerator, factors):
+    """Numerators g_i with sum_i g_i * prod_{j != i} f_j = numerator and
+    deg g_i < deg f_i, for pairwise-coprime factors; exact linear solve."""
+    degs = [f.degree for f in factors]
+    if any(f.is_zero or f.degree < 1 for f in factors):
+        raise ValueError("factors must be non-constant")
+    if numerator.degree >= sum(degs):
+        raise ValueError("improper rational function")
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            if poly_gcd(factors[i], factors[j]).degree > 0:
+                raise ValueError("factors are not pairwise coprime")
+
+    cofactors = []
+    for i in range(len(factors)):
+        acc = RatPoly.one()
+        for j, f in enumerate(factors):
+            if j != i:
+                acc = acc * f
+        cofactors.append(acc)
+
+    size = sum(degs)
+    # columns: one unknown per coefficient t^k of each g_i
+    cols = []
+    for i, f in enumerate(factors):
+        for k in range(f.degree):
+            shifted = RatPoly.monomial(k) * cofactors[i]
+            cols.append([shifted.coeff(row) for row in range(size)])
+    rhs = [numerator.coeff(row) for row in range(size)]
+
+    # Gaussian elimination with partial pivoting, exact over Q
+    mat = [[cols[c][r] for c in range(size)] + [rhs[r]] for r in range(size)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if mat[r][col] != 0), None)
+        if pivot is None:
+            raise RuntimeError("singular partial-fraction system")
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        inv = 1 / mat[col][col]
+        mat[col] = [x * inv for x in mat[col]]
+        for r in range(size):
+            if r != col and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
+    solution = [mat[r][size] for r in range(size)]
+
+    out = []
+    pos = 0
+    for f in factors:
+        out.append(RatPoly(solution[pos : pos + f.degree]))
+        pos += f.degree
+    return out
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_factor(d):
+    """The factor of 1 - x^c attached to primitive d-th roots of unity,
+    normalized to constant term 1: psi_1 = 1 - x, psi_d = Phi_d for d >= 2,
+    so that 1 - x^c = prod_{d | c} psi_d."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if d == 1:
+        return RatPoly((1, -1))
+    # Phi_d = (x^d - 1) / prod_{e | d, e < d} Phi_e, with Phi_1 = x - 1
+    num = RatPoly.monomial(d) - RatPoly.one()
+    den = RatPoly((-1, 1))  # Phi_1
+    for e in sorted_divisors(d)[1:-1]:
+        den = den * cyclotomic_factor(e)
+    quotient, rem = poly_divmod(num, den)
+    assert rem.is_zero
+    return quotient
+
+
+def reference_decompose(info):
+    """The per-order pieces of L by partial fractions of 1 / prod (1 - x^c)
+    over the factors psi_d^mult(d), each piece g / psi_d^m rewritten over
+    (1 - x^d)^m and converted by ``series_to_quasipoly``."""
+    orders = sorted({e for c in info.marks for e in sorted_divisors(c)})
+    mult = {d: sum(1 for c in info.marks if c % d == 0) for d in orders}
+
+    factors = [cyclotomic_factor(d) ** mult[d] for d in orders]
+    check = RatPoly.one()
+    for f in factors:
+        check = check * f
+    target = RatPoly.one()
+    for c in info.marks:
+        target = target * (RatPoly.one() - RatPoly.monomial(c))
+    assert check == target, "cyclotomic grouping failed to recombine"
+
+    numerators = partial_fractions(RatPoly.one(), factors)
+    parts = []
+    for d, g in zip(orders, numerators):
+        conv = RatPoly.one()
+        for e in sorted_divisors(d)[:-1]:
+            conv = conv * cyclotomic_factor(e)
+        part = linial.ehrhart.series_to_quasipoly(g * conv ** mult[d], [(d, mult[d])])
+        parts.append((d, minimal_period(part)))
+    return parts
+
 
 RANK4_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
 
@@ -160,7 +275,7 @@ def assert_same_constituents(a, b):
 
 @pytest.mark.parametrize("label", ALL_TYPES)
 def test_integer_interpolation_matches_fraction_newton(label, monkeypatch):
-    # every series_to_quasipoly call behind ehrhart_quasi and decompose_ehrhart
+    # every series_to_quasipoly call behind ehrhart_quasi and reference_decompose
     info = catalog(label)
     spec = [(c, 1) for c in info.marks]
     assert_same_constituents(
@@ -174,7 +289,7 @@ def test_integer_interpolation_matches_fraction_newton(label, monkeypatch):
         return result
 
     monkeypatch.setattr(linial.ehrhart, "series_to_quasipoly", recording)
-    parts = decompose_ehrhart(info)
+    parts = reference_decompose(info)
     assert len(calls) == len(parts)
     for numerator, denominator_spec, result in calls:
         want = reference_series_to_quasipoly(numerator, denominator_spec)
@@ -225,6 +340,29 @@ def test_series_to_quasipoly_spare_node_catches_a_short_period(monkeypatch):
     monkeypatch.setattr(linial.ehrhart, "math", short_lcm)
     with pytest.raises(PeriodConsistencyError, match="residue 0 misses node 1"):
         series_to_quasipoly(RatPoly.one(), [(2, 1)])
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_decomposition_matches_partial_fractions(label):
+    # the Ramanujan-sum projection gives the partial-fraction pieces exactly
+    info = catalog(label)
+    got = [(d, p.period, p.den, p.rows) for d, p in decompose_ehrhart(info)]
+    want = [(d, p.period, p.den, p.rows) for d, p in reference_decompose(info)]
+    assert got == want
+
+
+def test_ramanujan_sums_pinned():
+    # c_d(k) for d = 1..6, k = 0..5: the sum of zeta^k over primitive d-th roots
+    table = [[linial.ehrhart._ramanujan(d, k) for k in range(6)] for d in range(1, 7)]
+    assert table == [
+        [1, 1, 1, 1, 1, 1],
+        [1, -1, 1, -1, 1, -1],
+        [2, -1, -1, 2, -1, -1],
+        [2, 0, -2, 0, 2, 0],
+        [4, -1, -1, -1, -1, 4],
+        [2, 1, -1, -2, -1, 1],
+    ]
+    assert linial.ehrhart._ramanujan(6, -1) == 1
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)

@@ -16,7 +16,6 @@ from linial.quasipoly import (
     apply_Sbar,
     has_gcd_property,
     minimal_period,
-    quasipoly_from_json,
     quasipoly_to_json,
     sigma_pow,
     sorted_divisors,
@@ -429,6 +428,14 @@ def test_canonical_form_zero_and_negative_scales():
         assert_same_form(g.scale(1 / Fraction(c)), f)
     assert f.scale(-1).rows == tuple(tuple(-v for v in row) for row in f.rows)
     assert f.scale(-1).den == f.den > 0
+
+
+def quasipoly_from_json(obj):
+    """Inverse of ``quasipoly_to_json``: the "p/q" strings back to a QuasiPoly."""
+    return QuasiPoly(
+        int(obj["period"]),
+        tuple(RatPoly(Fraction(c) for c in cs) for cs in obj["constituents"]),
+    )
 
 
 def test_constituents_roundtrip_through_json():

