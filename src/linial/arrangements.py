@@ -68,10 +68,8 @@ def char_quasi(info: RootSystemInfo, n: int) -> QuasiPoly:
     R_Phi(x^(n+1)) / prod_{i=0..l} (1 - x^{c_i})."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    cs = generalized_eulerian(info).coeffs
-    den_a = math.lcm(*(c.denominator for c in cs), 1)
-    terms = {(n + 1) * k: c.numerator * (den_a // c.denominator) for k, c in enumerate(cs)}
-    return _series_quasi(terms, den_a, [(c, 1) for c in info.marks])
+    terms, den = _operator_terms(OperatorPoly(generalized_eulerian(info), stride=n + 1))
+    return _series_quasi(dict(terms), den, [(c, 1) for c in info.marks])
 
 
 @lru_cache(maxsize=None)

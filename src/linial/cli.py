@@ -10,20 +10,25 @@ roots      numeric roots of one characteristic polynomial + line certificate
 
 Output is deterministic byte-for-byte for a fixed command line: rows are
 emitted in argument order, rationals are printed as exact ``p/q`` strings,
-floats at 17 significant digits.  On the tabular subcommands ``--format``
-selects Markdown (default), CSV, or JSON; ``verify`` always emits a single
-JSON record.  The exit status is 0 exactly when every requested check
+floats at 17 significant digits.  Every subcommand builds one record and,
+for Markdown and CSV, one table; ``_emit`` writes either.  JSON goes through
+the stdlib encoder, with each float pre-formatted at 17 digits so that it
+does not print by repr().  On the tabular subcommands ``--format`` selects
+Markdown (default), CSV, or JSON; ``verify`` always emits a single JSON
+record.  The exit status is 0 exactly when every requested check
 passed (``table`` returns 0 whenever the computation itself succeeded).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
+import re
 import sys
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
 
 from .arrangements import (
     _ORACLE_POINT_BUDGET,
@@ -43,73 +48,51 @@ from .rootline import verify_line
 from .rootsystems import CLI_LABELS, catalog
 
 # ---------------------------------------------------------------------------
-# formatting helpers
+# output
 # ---------------------------------------------------------------------------
 
 
-def _fmt_float(x: float) -> str:
-    return format(x, ".17g")
+def _text(value) -> str:
+    """A scalar as the CLI prints it: floats at 17 significant digits,
+    flags as yes / no."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return ("yes" if value else "no") if isinstance(value, bool) else str(value)
 
 
-def _json_render(obj, indent: int = 0) -> str:
-    """Serialize to JSON with floats at 17 significant digits.
-
-    The stdlib encoder formats floats with repr(); pinning ``%.17g`` keeps
-    the byte output stable and round-trippable.  Dict key order is the
-    insertion order of the dict being rendered, which the command builders
-    fix explicitly.
-    """
-    pad = "  " * indent
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return str(obj)
+def _marked(obj):
+    """``obj`` with every float replaced by its %.17g text behind a NUL mark,
+    which ``_emit`` unquotes after ``json.dumps``; no other string of a
+    record can hold a NUL."""
     if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(
-            pad + "  " + _json_render(v, indent + 1) for v in obj
-        )
-        return "[\n" + inner + "\n" + pad + "]"
+        return "\0" + _text(obj)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            pad + "  " + json.dumps(str(k)) + ": " + _json_render(v, indent + 1)
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        return {k: _marked(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_marked(v) for v in obj]
+    return obj
 
 
-def _print_json(obj) -> None:
-    sys.stdout.write(_json_render(obj) + "\n")
+def _emit(fmt: str, record: dict, headers=(), rows=(), tail=()) -> None:
+    """Write ``record`` as JSON, or the table ``headers``/``rows`` as
+    Markdown or CSV followed by the ``tail`` lines.
 
-
-def _print_md_table(headers, rows) -> None:
+    JSON is the stdlib encoder's, 2-space indented, with dict keys in the
+    insertion order the command builders fix; floats print at 17
+    significant digits rather than by repr(), to keep the bytes stable."""
     out = sys.stdout
-    out.write("| " + " | ".join(headers) + " |\n")
-    out.write("|" + "|".join(" --- " for _ in headers) + "|\n")
-    for row in rows:
-        out.write("| " + " | ".join(str(c) for c in row) + " |\n")
-
-
-def _print_csv_table(headers, rows) -> None:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow(row)
-    sys.stdout.write(buf.getvalue())
+    if fmt == "json":
+        text = json.dumps(_marked(record), indent=2)
+        out.write(re.sub(r'"\\u0000([^"]*)"', r"\1", text) + "\n")
+        return
+    cells = [[_text(c) for c in row] for row in rows]
+    if fmt == "csv":
+        csv.writer(out, lineterminator="\n").writerows([headers, *cells])
+    else:
+        out.write("| " + " | ".join(headers) + " |\n")
+        out.write("|" + "|".join(" --- " for _ in headers) + "|\n")
+        out.writelines("| " + " | ".join(row) + " |\n" for row in cells)
+    out.writelines(line + "\n" for line in tail)
 
 
 def _desc_coeffs(p) -> list:
@@ -129,9 +112,13 @@ def _parse_n_list(text: str) -> list:
     return values
 
 
-def _exact_flag(report) -> str:
-    """Render the exact-certificate outcome as yes / no."""
-    return "yes" if report.symmetry_exact and report.sturm_exact else "no"
+def _line_check(info, n: int):
+    """char_poly(info, n), its target real part nh/2, the root-line report,
+    and whether the report's certificate is exact."""
+    p = char_poly(info, n)
+    target = Fraction(n * info.coxeter_h, 2)
+    report = verify_line(p, target)
+    return p, target, report, report.symmetry_exact and report.sturm_exact
 
 
 # ---------------------------------------------------------------------------
@@ -139,60 +126,33 @@ def _exact_flag(report) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _table_row(info, n: int) -> dict:
-    p = char_poly(info, n)
-    target = Fraction(n * info.coxeter_h, 2)
-    report = verify_line(p, target)
-    return {
-        "n": n,
-        "poly": render_poly(p),
-        "coeffs": _desc_coeffs(p),
-        "real_part": str(target),
-        "max_deviation": report.max_deviation,
-        "exact": _exact_flag(report),
-    }
-
-
 def cmd_table(args) -> int:
     info = catalog(args.type)
-    rows = [_table_row(info, n) for n in _parse_n_list(args.n_list)]
-
-    if args.format == "json":
-        _print_json(
+    checks = [(n, *_line_check(info, n)) for n in _parse_n_list(args.n_list)]
+    record = {
+        "command": "table",
+        "type": info.label,
+        "rows": [
             {
-                "command": "table",
-                "type": info.label,
-                "rows": [
-                    {
-                        "n": r["n"],
-                        "coeffs": r["coeffs"],
-                        "real_part": r["real_part"],
-                        "max_deviation": r["max_deviation"],
-                        "exact": r["exact"],
-                    }
-                    for r in rows
-                ],
+                "n": n,
+                "coeffs": _desc_coeffs(p),
+                "real_part": str(target),
+                "max_deviation": report.max_deviation,
+                "exact": _text(exact),
             }
-        )
-    elif args.format == "csv":
-        _print_csv_table(
-            ["n", "coeffs", "real_part", "max_deviation", "exact"],
-            [
-                (
-                    r["n"],
-                    " ".join(r["coeffs"]),
-                    r["real_part"],
-                    _fmt_float(r["max_deviation"]),
-                    r["exact"],
-                )
-                for r in rows
-            ],
-        )
+            for n, p, target, report, exact in checks
+        ],
+    }
+    if args.format == "md":
+        headers = ["n", "characteristic polynomial", "real part", "exact"]
+        rows = [(n, render_poly(p), target, exact) for n, p, target, _, exact in checks]
     else:
-        _print_md_table(
-            ["n", "characteristic polynomial", "real part", "exact"],
-            [(r["n"], r["poly"], r["real_part"], r["exact"]) for r in rows],
-        )
+        headers = ["n", "coeffs", "real_part", "max_deviation", "exact"]
+        rows = [
+            (r["n"], " ".join(r["coeffs"]), r["real_part"], r["max_deviation"], r["exact"])
+            for r in record["rows"]
+        ]
+    _emit(args.format, record, headers, rows)
     return 0
 
 
@@ -246,8 +206,8 @@ def cmd_verify(args) -> int:
     if args.mode in ("formula", "both"):
         checks["main"] = verify_main_theorem(info, n)
         checks["corollary1"] = verify_corollary1(info, n)
-        g = gcd(n + 1, info.period_rho)
-        if g > gcd(n + 1, info.rad_rho):  # eta = 1 would compare a polynomial with itself
+        g = math.gcd(n + 1, info.period_rho)
+        if g > math.gcd(n + 1, info.rad_rho):  # eta = 1 would compare a polynomial with itself
             checks["rad"] = verify_rad_theorem(info, n)
         if g == 1:
             prime_poly = gcd_prime_polynomial(info, n)
@@ -273,7 +233,7 @@ def cmd_verify(args) -> int:
     record["checks"] = checks
     if first_failure is not None:
         record["first_failure"] = first_failure
-    _print_json(record)
+    _emit("json", record)
     return 0 if all(checks.values()) else 1
 
 
@@ -284,46 +244,23 @@ def cmd_verify(args) -> int:
 
 def cmd_ehrhart(args) -> int:
     info = catalog(args.type)
-    if not 0 <= args.q_max <= _EHRHART_Q_MAX:
+    q_max = 3 * info.period_rho if args.q_max is None else args.q_max
+    if not 0 <= q_max <= _EHRHART_Q_MAX:
         raise ValueError(f"--q-max must be >= 0 and <= {_EHRHART_Q_MAX}")
     f = ehrhart_quasi(info)
     rows = []
-    all_ok = True
-    for q in range(args.q_max + 1):
-        count = denumerant_count(info, q)
-        value = f.eval(q)
-        ok = count == value
-        all_ok = all_ok and ok
-        rows.append((q, count, value, ok))
-
-    if args.format == "json":
-        _print_json(
-            {
-                "command": "ehrhart",
-                "type": info.label,
-                "period": minimal_period(f).period,
-                "rows": [
-                    {
-                        "q": q,
-                        "count": count,
-                        "formula": str(value),
-                        "match": ok,
-                    }
-                    for q, count, value, ok in rows
-                ],
-                "all_match": all_ok,
-            }
-        )
-    elif args.format == "csv":
-        _print_csv_table(
-            ["q", "count", "formula", "match"],
-            [(q, count, str(value), "yes" if ok else "no") for q, count, value, ok in rows],
-        )
-    else:
-        _print_md_table(
-            ["q", "count", "formula", "match"],
-            [(q, count, str(value), "yes" if ok else "no") for q, count, value, ok in rows],
-        )
+    for q in range(q_max + 1):
+        count, value = denumerant_count(info, q), f.eval(q)
+        rows.append({"q": q, "count": count, "formula": str(value), "match": count == value})
+    all_ok = all(r["match"] for r in rows)
+    record = {
+        "command": "ehrhart",
+        "type": info.label,
+        "period": minimal_period(f).period,
+        "rows": rows,
+        "all_match": all_ok,
+    }
+    _emit(args.format, record, ["q", "count", "formula", "match"], [r.values() for r in rows])
     return 0 if all_ok else 1
 
 
@@ -339,38 +276,26 @@ def cmd_decompose(args) -> int:
     for _, part in parts[1:]:
         total = total + part
     resum_ok = total == ehrhart_quasi(info)
-
-    if args.format == "json":
-        _print_json(
+    record = {
+        "command": "decompose",
+        "type": info.label,
+        "parts": [
             {
-                "command": "decompose",
-                "type": info.label,
-                "parts": [
-                    {
-                        "mark": d,
-                        "period": part.period,
-                        "degree": -1 if part.degree == float("-inf") else int(part.degree),
-                        "constituents": quasipoly_to_json(part)["constituents"],
-                    }
-                    for d, part in parts
-                ],
-                "resum_ok": resum_ok,
+                "mark": d,
+                "period": part.period,
+                "degree": -1 if part.degree == float("-inf") else int(part.degree),
+                "constituents": quasipoly_to_json(part)["constituents"],
             }
-        )
-    else:
-        rows = [
-            (
-                d,
-                part.period,
-                "-inf" if part.degree == float("-inf") else int(part.degree),
-            )
             for d, part in parts
-        ]
-        if args.format == "csv":
-            _print_csv_table(["mark", "period", "degree"], rows)
-        else:
-            _print_md_table(["mark", "period", "degree"], rows)
-        sys.stdout.write(f"resum: {'ok' if resum_ok else 'MISMATCH'}\n")
+        ],
+        "resum_ok": resum_ok,
+    }
+    rows = [
+        (r["mark"], r["period"], "-inf" if r["degree"] < 0 else r["degree"])
+        for r in record["parts"]
+    ]
+    tail = [f"resum: {'ok' if resum_ok else 'MISMATCH'}"]
+    _emit(args.format, record, ["mark", "period", "degree"], rows, tail)
     return 0 if resum_ok else 1
 
 
@@ -380,55 +305,41 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_roots(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and >= 0, not {args.tol}")
     info = catalog(args.type)
     n = args.n
-    p = char_poly(info, n)
-    target = Fraction(n * info.coxeter_h, 2)
-    report = verify_line(p, target)
-    within = report.max_deviation <= args.tol
-    ok = within and report.symmetry_exact and report.sturm_exact
-
-    if args.format == "json":
-        _print_json(
-            {
-                "command": "roots",
-                "type": info.label,
-                "n": n,
-                "target_real_part": str(target),
-                "roots": [
-                    {"re": z.real, "im": z.imag} for z in report.roots
-                ],
-                "max_deviation": report.max_deviation,
-                "tol": args.tol,
-                "within_tol": within,
-                "symmetry_exact": report.symmetry_exact,
-                "sturm_exact": report.sturm_exact,
-                "squarefree": report.squarefree,
-            }
-        )
-    elif args.format == "csv":
-        _print_csv_table(
-            ["re", "im"],
-            [(_fmt_float(z.real), _fmt_float(z.imag)) for z in report.roots],
-        )
-        sys.stdout.write(
-            f"max_deviation,{_fmt_float(report.max_deviation)}\n"
-            f"within_tol,{'yes' if within else 'no'}\n"
-            f"symmetry_exact,{'yes' if report.symmetry_exact else 'no'}\n"
-            f"sturm_exact,{'yes' if report.sturm_exact else 'no'}\n"
-        )
-    else:
-        _print_md_table(
-            ["re", "im"],
-            [(_fmt_float(z.real), _fmt_float(z.imag)) for z in report.roots],
-        )
-        sys.stdout.write(
-            f"target real part: {target}\n"
-            f"max deviation: {_fmt_float(report.max_deviation)}\n"
-            f"within tol {_fmt_float(args.tol)}: {'yes' if within else 'no'}\n"
-            f"exact certificate: {_exact_flag(report)}\n"
-        )
-    return 0 if ok else 1
+    _, target, report, exact = _line_check(info, n)
+    deviation = report.max_deviation
+    within = deviation <= args.tol
+    record = {
+        "command": "roots",
+        "type": info.label,
+        "n": n,
+        "target_real_part": str(target),
+        "roots": [{"re": z.real, "im": z.imag} for z in report.roots],
+        "max_deviation": deviation,
+        "tol": args.tol,
+        "within_tol": within,
+        "symmetry_exact": report.symmetry_exact,
+        "sturm_exact": report.sturm_exact,
+        "squarefree": report.squarefree,
+    }
+    tails = {
+        "md": [
+            f"target real part: {target}",
+            f"max deviation: {_text(deviation)}",
+            f"within tol {_text(args.tol)}: {_text(within)}",
+            f"exact certificate: {_text(exact)}",
+        ],
+        "csv": [
+            f"{key},{_text(record[key])}"
+            for key in ("max_deviation", "within_tol", "symmetry_exact", "sturm_exact")
+        ],
+    }
+    rows = [(z.real, z.imag) for z in report.roots]
+    _emit(args.format, record, ["re", "im"], rows, tails.get(args.format, ()))
+    return 0 if within and exact else 1
 
 
 # ---------------------------------------------------------------------------
@@ -446,31 +357,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_common(p, with_format=True):
+    def add(name, func, help, *, with_n=False, tabular=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument(
             "type",
             help=f"root system label, e.g. one of {', '.join(CLI_LABELS)}",
         )
-        if with_format:
+        if with_n:
+            p.add_argument("n", type=int, help="deformation width parameter")
+        if tabular:
             p.add_argument(
                 "--format",
                 choices=("md", "csv", "json"),
                 default="md",
                 help="output format (default: md)",
             )
+        p.set_defaults(func=func)
+        return p
 
-    p_table = sub.add_parser("table", help="characteristic polynomials for several n")
-    add_common(p_table)
+    p_table = add("table", cmd_table, "characteristic polynomials for several n")
     p_table.add_argument(
         "--n-list",
         default="1,2,3",
         help="comma-separated n values (default: 1,2,3)",
     )
-    p_table.set_defaults(func=cmd_table)
 
-    p_verify = sub.add_parser("verify", help="identity and counting checks for one n")
-    p_verify.add_argument("type", help="root system label")
-    p_verify.add_argument("n", type=int, help="deformation width parameter")
+    p_verify = add(
+        "verify", cmd_verify, "identity and counting checks for one n", with_n=True, tabular=False
+    )
     p_verify.add_argument(
         "--mode",
         choices=("formula", "oracle", "both"),
@@ -483,38 +397,24 @@ def build_parser() -> argparse.ArgumentParser:
         default=12,
         help="largest modulus for the oracle sweep from max(1, n(h-1)) (default: 12)",
     )
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_ehr = sub.add_parser("ehrhart", help="alcove lattice counts vs. formula")
-    add_common(p_ehr)
+    p_ehr = add("ehrhart", cmd_ehrhart, "alcove lattice counts vs. formula")
     p_ehr.add_argument(
         "--q-max",
         type=int,
         default=None,
         help=f"largest dilation factor, 0..{_EHRHART_Q_MAX} (default: 3 * period)",
     )
-    p_ehr.set_defaults(func=cmd_ehrhart)
 
-    p_dec = sub.add_parser("decompose", help="per-mark pieces of the alcove count")
-    add_common(p_dec)
-    p_dec.set_defaults(func=cmd_decompose)
+    add("decompose", cmd_decompose, "per-mark pieces of the alcove count")
 
-    p_roots = sub.add_parser("roots", help="roots of one characteristic polynomial")
-    p_roots.add_argument("type", help="root system label")
-    p_roots.add_argument("n", type=int, help="deformation width parameter")
-    p_roots.add_argument(
-        "--format",
-        choices=("md", "csv", "json"),
-        default="md",
-        help="output format (default: md)",
-    )
+    p_roots = add("roots", cmd_roots, "roots of one characteristic polynomial", with_n=True)
     p_roots.add_argument(
         "--tol",
         type=float,
         default=1e-8,
-        help="numeric tolerance for the real-part deviation (default: 1e-8)",
+        help="numeric tolerance for the real-part deviation, finite and >= 0 (default: 1e-8)",
     )
-    p_roots.set_defaults(func=cmd_roots)
 
     return parser
 
@@ -526,8 +426,6 @@ def main(argv=None) -> int:
         print("error: n must be >= 0", file=sys.stderr)
         return 2
     try:
-        if args.cmd == "ehrhart" and args.q_max is None:
-            args.q_max = 3 * catalog(args.type).period_rho
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -278,6 +280,24 @@ def test_roots_strict_tolerance_still_passes(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_roots_rejects_vacuous_or_invalid_tol(capsys, tol):
+    # --tol inf would pass any deviation and print a non-JSON "tol": inf;
+    # nan and negative values would fail every root: usage errors, not checks
+    code, out, err = run_cli(capsys, "roots", "F4", "2", "--tol", tol, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
+def test_roots_zero_tol_is_valid(capsys):
+    code, out, err = run_cli(capsys, "roots", "A2", "1", "--tol", "0", "--format", "json")
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["tol"] == 0
+    assert code == (0 if doc["within_tol"] else 1)
+
+
 def test_subprocess_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "linial.cli", "table", "A2", "--n-list", "1"],
@@ -287,3 +307,57 @@ def test_subprocess_entry_point():
     )
     assert proc.returncode == 0
     assert "t^2 - 3t + 3" in proc.stdout
+
+
+# A float as the CLI prints it: %.17g, so "0" and "18" rather than "0.0" and "18.0".
+_FLOAT = r"(-?(?:inf|nan|[0-9][0-9.e+-]*))"
+# Where the float fields sit in each output format: JSON keys, the two float
+# columns of ``roots`` md/csv, the tail lines of ``roots`` and the
+# max_deviation column of ``table`` csv.
+_FLOAT_FIELDS = [
+    rf'^ *"(?:max_deviation|re|im|tol)": {_FLOAT},?$',
+    rf"^\| {_FLOAT} \| {_FLOAT} \|$",
+    rf"^{_FLOAT},{_FLOAT}$",
+    rf"^max_deviation,{_FLOAT}$",
+    rf"^max deviation: {_FLOAT}$",
+    rf"^within tol {_FLOAT}: (?:yes|no)$",
+    rf"^[0-9]+,[-0-9 ]+,[-0-9/]+,{_FLOAT},(?:yes|no)$",
+]
+
+
+def _mask_floats(out: str) -> str:
+    """``out`` with each float field replaced by ``<f>``, after checking that
+    it is printed as format(x, ".17g") of its own value; the float values come
+    from the numeric root finder, so only their formatting is pinned."""
+    lines = []
+    for line in out.split("\n"):
+        for pattern in _FLOAT_FIELDS:
+            m = re.match(pattern, line)
+            if m:
+                for i in range(m.lastindex, 0, -1):
+                    text = m.group(i)
+                    assert text == format(float(text), ".17g"), line
+                    line = line[: m.start(i)] + "<f>" + line[m.end(i) :]
+                break
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def _pinned_outputs() -> list:
+    """(argv, exit code, stdout with masked floats) from ``cli_bytes.txt``:
+    blocks that start with a ``$ <argv>`` line and an ``exit <code>`` line."""
+    text = (pathlib.Path(__file__).parent / "cli_bytes.txt").read_text()
+    cases = []
+    for block in text.split("$ ")[1:]:
+        argv, code, out = block.split("\n", 2)
+        cases.append((argv.split(), int(code.removeprefix("exit ")), out))
+    return cases
+
+
+def test_output_bytes_pinned(capsys):
+    cases = _pinned_outputs()
+    assert len(cases) == 20
+    for argv, want_code, want_out in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (want_code, ""), argv
+        assert _mask_floats(out) == want_out, argv

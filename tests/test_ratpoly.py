@@ -169,33 +169,6 @@ def test_moment_divisibility_iff_division(g, n, ell):
     assert moment_divisibility(g, n, ell) == want
 
 
-def residue_split(g, n):
-    """Split ``g`` into its n residue-class pieces; piece j holds the
-    monomials with exponent = j (mod n)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    pieces = [[Fraction(0)] * len(g.coeffs) for _ in range(n)]
-    for k, a in enumerate(g.coeffs):
-        pieces[k % n][k] = a
-    return [RatPoly(p) for p in pieces]
-
-
-def test_residue_split_reassembles():
-    rng = random.Random(11)
-    for _ in range(25):
-        g = RatPoly(tuple(Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(1, 12))))
-        n = rng.randint(1, 5)
-        pieces = residue_split(g, n)
-        assert len(pieces) == n
-        total = RatPoly.zero()
-        for j, piece in enumerate(pieces):
-            for k, c in enumerate(piece.coeffs):
-                if c != 0:
-                    assert k % n == j
-            total = total + piece
-        assert total == g
-
-
 def test_render_poly():
     assert render_poly(RatPoly((3, -3, 1))) == "t^2 - 3t + 3"
     assert render_poly(RatPoly.zero()) == "0"
