@@ -10,8 +10,8 @@ A numeric root finder plus an exact real-rootedness certificate check that
 all roots lie on the expected vertical line.
 """
 
-# Each module's ``__all__`` is its public API; ``__all__`` below lists the
-# names the package documents.
+import sys as _sys
+
 from .arrangements import *  # noqa: F403
 from .ehrhart import *  # noqa: F403
 from .eulerian import *  # noqa: F403
@@ -22,57 +22,11 @@ from .rootsystems import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CLI_LABELS",
-    "GroupTooLargeError",
-    "OperatorPoly",
-    "PeriodConsistencyError",
-    "PositiveRoot",
-    "QuasiPoly",
-    "RatPoly",
-    "RootReport",
-    "RootSystemInfo",
-    "WeylElement",
-    "X",
-    "apply_S",
-    "apply_Sbar",
-    "catalog",
-    "char_poly",
-    "char_quasi",
-    "compose_power",
-    "congruent_mod_power",
-    "cross_type_relation_check",
-    "cyclotomic_type",
-    "decompose_ehrhart",
-    "denumerant_count",
-    "divides",
-    "ehrhart_quasi",
-    "eulerian",
-    "eulerian_congruence_check",
-    "find_roots",
-    "gcd_prime_polynomial",
-    "generalized_congruence_operator",
-    "generalized_eulerian",
-    "generalized_eulerian_by_weyl",
-    "has_gcd_property",
-    "highest_root",
-    "minimal_period",
-    "moment_divisibility",
-    "oracle_agreement_bound",
-    "oracle_count",
-    "poly_divmod",
-    "poly_gcd",
-    "positive_roots",
-    "quasipoly_to_json",
-    "render_poly",
-    "series_to_quasipoly",
-    "shift_argument",
-    "sigma_pow",
-    "tilde",
-    "verify_corollary1",
-    "verify_line",
-    "verify_main_theorem",
-    "verify_rad_theorem",
-    "verify_shift_relation",
-    "weyl_elements",
-]
+# The package's names are the union of its modules' ``__all__``.  The modules
+# are looked up in sys.modules because the star import above rebinds the name
+# ``eulerian`` from its module to the function of that name.
+__all__ = sorted(
+    name
+    for module in "arrangements ehrhart eulerian quasipoly ratpoly rootline rootsystems".split()
+    for name in _sys.modules[f"{__name__}.{module}"].__all__
+)

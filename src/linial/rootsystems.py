@@ -1,9 +1,11 @@
 """Catalog of irreducible root systems and generated combinatorial data.
 
-The static per-type data (marks, Coxeter number, period, radical, Cartan
-matrix) is hard-coded; positive roots are generated from the Cartan matrix
-by the standard root-string closure, and Weyl groups (small rank only) by
-breadth-first closure over the simple reflections.
+The per-type data are the marks and the Cartan matrix.  The Coxeter number,
+the period rho = lcm of the marks, its radical and the index of connection
+f (the number of marks equal to 1; Bourbaki, Lie Groups, Ch. VI) follow from
+the marks.  Positive roots are the closure of the simple roots under the
+simple reflections, and Weyl groups (small rank only) the breadth-first
+closure of the identity under them.
 
 Coordinates are always in the simple-root basis: a root is the integer
 vector (m_1, ..., m_l) with alpha = sum m_j alpha_j.  The Cartan matrix is
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -35,19 +36,6 @@ __all__ = [
 
 #: Labels advertised on the command line (any valid label is accepted).
 CLI_LABELS = ("A3", "B4", "C3", "D4", "E6", "E7", "E8", "F4", "G2")
-
-# (period rho, rad(rho)) per family
-_PERIODS = {
-    "A": (1, 1),
-    "B": (2, 2),
-    "C": (2, 2),
-    "D": (2, 2),
-    "E6": (6, 6),
-    "E7": (12, 6),
-    "E8": (60, 30),
-    "F4": (12, 6),
-    "G2": (6, 6),
-}
 
 
 @dataclass(frozen=True)
@@ -96,11 +84,8 @@ def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
         a = _path_cartan(rank)
         a[rank - 1][rank - 2] = -2  # last simple root long
     elif family == "D":
-        a = _path_cartan(rank - 1)
-        for row in a:
-            row.append(0)
-        a.append([0] * rank)
-        a[rank - 1][rank - 1] = 2
+        a = _path_cartan(rank)  # then move the last node from node l-1 to l-2
+        a[rank - 2][rank - 1] = a[rank - 1][rank - 2] = 0
         a[rank - 3][rank - 1] = a[rank - 1][rank - 3] = -1
     elif family == "E":
         a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
@@ -136,44 +121,21 @@ def _marks(family: str, rank: int) -> tuple[int, ...]:
     }[family + str(rank)]
 
 
-def _det(matrix: tuple[tuple[int, ...], ...]) -> int:
-    # exact determinant by fraction-free-ish elimination (tiny matrices)
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    assert det.denominator == 1
-    return int(det)
-
-
 _LABEL_RE = re.compile(r"^([A-G])_?([0-9]+)$")
 
 
 @lru_cache(maxsize=None)
 def catalog(label: str) -> RootSystemInfo:
-    """Table-of-root-systems record for a label like "E6", "A3", "B12"."""
+    """Table-of-root-systems record for a label like "E6", "A3", "B8" (rank <= 8)."""
     m = _LABEL_RE.match(label.strip().upper())
     if not m:
         raise ValueError(f"unrecognized root system label: {label!r}")
     family, rank = m.group(1), int(m.group(2))
     limits = {
-        "A": rank >= 1,
-        "B": rank >= 2,
-        "C": rank >= 2,
-        "D": rank >= 4,
+        "A": 1 <= rank <= 8,
+        "B": 2 <= rank <= 8,
+        "C": 2 <= rank <= 8,
+        "D": 4 <= rank <= 8,
         "E": rank in (6, 7, 8),
         "F": rank == 4,
         "G": rank == 2,
@@ -182,7 +144,10 @@ def catalog(label: str) -> RootSystemInfo:
         raise ValueError(f"rank {rank} out of range for family {family}")
     marks = tuple(sorted(_marks(family, rank)))
     h = sum(marks)
-    rho, rad = _PERIODS[family if family in "ABCD" else family + str(rank)]
+    rho = math.lcm(*marks)
+    rad = math.prod(  # the primes dividing rho
+        p for p in range(2, rho + 1) if rho % p == 0 and all(p % d for d in range(2, p))
+    )
     distinct = tuple(
         (c, sum(1 for x in marks if x % c == 0) - 1) for c in sorted(set(marks))
     )
@@ -197,16 +162,12 @@ def catalog(label: str) -> RootSystemInfo:
         period_rho=rho,
         rad_rho=rad,
         cartan=cartan,
-        index_f=_det(cartan),
+        index_f=marks.count(1),
     )
 
 
-def _pair_coroot(beta: tuple[int, ...], j: int, cartan) -> int:
-    return sum(b * cartan[i][j] for i, b in enumerate(beta) if b)
-
-
 def _reflect(beta: tuple[int, ...], j: int, cartan) -> tuple[int, ...]:
-    c = _pair_coroot(beta, j, cartan)
+    c = sum(b * cartan[i][j] for i, b in enumerate(beta) if b)
     if not c:
         return beta
     out = list(beta)
@@ -218,9 +179,10 @@ def _reflect(beta: tuple[int, ...], j: int, cartan) -> tuple[int, ...]:
 def positive_roots(info: RootSystemInfo) -> tuple[PositiveRoot, ...]:
     """All positive roots, generated level-by-level from the simple roots.
 
-    For each root beta and simple direction j, beta + alpha_j is a root iff
-    q = p - <beta, alpha_j-coroot> > 0, where p is how far the root string
-    extends downward (standard root-string closure).
+    Each new level reflects the last one in every simple root and keeps the
+    positive images.  This is complete: s_j permutes the positive roots other
+    than alpha_j, and every non-simple positive root is s_j of a positive
+    root of lower height for some j.
     """
     rank = info.rank
     cartan = info.cartan
@@ -231,21 +193,10 @@ def positive_roots(info: RootSystemInfo) -> tuple[PositiveRoot, ...]:
         nxt = []
         for beta in level:
             for j in range(rank):
-                c = _pair_coroot(beta, j, cartan)
-                p = 0
-                down = list(beta)
-                while True:
-                    down[j] -= 1
-                    if down[j] < 0 or tuple(down) not in found:
-                        break
-                    p += 1
-                if p - c > 0:
-                    up = list(beta)
-                    up[j] += 1
-                    t = tuple(up)
-                    if t not in found:
-                        found.add(t)
-                        nxt.append(t)
+                t = _reflect(beta, j, cartan)
+                if t not in found and min(t) >= 0:
+                    found.add(t)
+                    nxt.append(t)
         level = nxt
     ordered = sorted(found, key=lambda v: (sum(v), v))
     return tuple(PositiveRoot(v) for v in ordered)
@@ -291,20 +242,12 @@ def weyl_elements(info: RootSystemInfo, cap: int = 200000) -> tuple[WeylElement,
                     nxt.append(new)
         queue = nxt
 
-    def is_positive(vec: tuple[int, ...]) -> bool:
-        for x in vec:
-            if x:
-                return x > 0
-        raise ValueError("zero vector is not a root")
-
+    # a root's coordinates share one sign, so its sign is that of its height;
+    # height is linear, so height(w(theta)) = sum_i theta_i height(w(alpha_i))
     elements = []
     for w in seen:
-        theta_img = [0] * rank
-        for coeff, img in zip(theta, w):
-            for i, x in enumerate(img):
-                theta_img[i] += coeff * x
-        signs = (not is_positive(tuple(theta_img)),) + tuple(
-            is_positive(v) for v in w
-        )
+        heights = [sum(v) for v in w]
+        theta_height = sum(t * h for t, h in zip(theta, heights))
+        signs = (theta_height < 0,) + tuple(h > 0 for h in heights)
         elements.append(WeylElement(w, signs))
     return tuple(elements)

@@ -78,6 +78,14 @@ def test_bad_type_is_an_error(capsys):
     assert "error" in err
 
 
+def test_rank_above_catalogue_is_an_error(capsys):
+    # the catalogue stops at rank 8; a larger rank is refused before any work
+    code, out, err = run_cli(capsys, "table", "A9", "--n-list", "1")
+    assert code == 2
+    assert out == ""
+    assert "rank 9" in err
+
+
 def test_bad_n_list(capsys):
     code, _, err = run_cli(capsys, "table", "A2", "--n-list", "1,x")
     assert code == 2

@@ -1,5 +1,6 @@
 """Catalog data, positive-root generation, Weyl group closure."""
 
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -14,21 +15,113 @@ from linial.rootsystems import (
     weyl_group_order,
 )
 
-# label -> (marks incl. the extra 1, h, rho, rad_rho, f)
+# label -> (marks incl. the extra 1, h, rho, rad_rho, f), recorded from the
+# hand-kept period table and the Cartan determinant that the catalog used
+# before it derived these from the marks
 TABLE = {
     "A1": ((1, 1), 2, 1, 1, 2),
+    "A2": ((1, 1, 1), 3, 1, 1, 3),
+    "A3": ((1, 1, 1, 1), 4, 1, 1, 4),
+    "A4": ((1, 1, 1, 1, 1), 5, 1, 1, 5),
     "A5": ((1, 1, 1, 1, 1, 1), 6, 1, 1, 6),
+    "A6": ((1, 1, 1, 1, 1, 1, 1), 7, 1, 1, 7),
+    "A7": ((1, 1, 1, 1, 1, 1, 1, 1), 8, 1, 1, 8),
+    "A8": ((1, 1, 1, 1, 1, 1, 1, 1, 1), 9, 1, 1, 9),
     "B2": ((1, 1, 2), 4, 2, 2, 2),
+    "B3": ((1, 1, 2, 2), 6, 2, 2, 2),
+    "B4": ((1, 1, 2, 2, 2), 8, 2, 2, 2),
     "B5": ((1, 1, 2, 2, 2, 2), 10, 2, 2, 2),
+    "B6": ((1, 1, 2, 2, 2, 2, 2), 12, 2, 2, 2),
+    "B7": ((1, 1, 2, 2, 2, 2, 2, 2), 14, 2, 2, 2),
+    "B8": ((1, 1, 2, 2, 2, 2, 2, 2, 2), 16, 2, 2, 2),
+    "C2": ((1, 1, 2), 4, 2, 2, 2),
     "C3": ((1, 1, 2, 2), 6, 2, 2, 2),
-    "D4": ((1, 1, 1, 1, 2), 8 - 2, 2, 2, 4),
+    "C4": ((1, 1, 2, 2, 2), 8, 2, 2, 2),
+    "C5": ((1, 1, 2, 2, 2, 2), 10, 2, 2, 2),
+    "C6": ((1, 1, 2, 2, 2, 2, 2), 12, 2, 2, 2),
+    "C7": ((1, 1, 2, 2, 2, 2, 2, 2), 14, 2, 2, 2),
+    "C8": ((1, 1, 2, 2, 2, 2, 2, 2, 2), 16, 2, 2, 2),
+    "D4": ((1, 1, 1, 1, 2), 6, 2, 2, 4),
+    "D5": ((1, 1, 1, 1, 2, 2), 8, 2, 2, 4),
     "D6": ((1, 1, 1, 1, 2, 2, 2), 10, 2, 2, 4),
+    "D7": ((1, 1, 1, 1, 2, 2, 2, 2), 12, 2, 2, 4),
+    "D8": ((1, 1, 1, 1, 2, 2, 2, 2, 2), 14, 2, 2, 4),
     "E6": ((1, 1, 1, 2, 2, 2, 3), 12, 6, 6, 3),
     "E7": ((1, 1, 2, 2, 2, 3, 3, 4), 18, 12, 6, 2),
     "E8": ((1, 2, 2, 3, 3, 4, 4, 5, 6), 30, 60, 30, 1),
     "F4": ((1, 2, 2, 3, 4), 12, 12, 6, 1),
     "G2": ((1, 2, 3), 6, 6, 6, 1),
 }
+
+
+def reference_det(matrix):
+    """Exact determinant by Fraction elimination."""
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] * inv
+            if f:
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    assert det.denominator == 1
+    return int(det)
+
+
+def reference_positive_roots(cartan):
+    """Positive roots by the root-string closure, sorted by (height, coords).
+
+    For each root beta and simple direction j, beta + alpha_j is a root iff
+    q = p - <beta, alpha_j-coroot> > 0, where p is how far the root string
+    extends downward.
+    """
+    rank = len(cartan)
+    simple = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    found = set(simple)
+    level = list(simple)
+    while level:
+        nxt = []
+        for beta in level:
+            for j in range(rank):
+                c = sum(b * cartan[i][j] for i, b in enumerate(beta))
+                p = 0
+                down = list(beta)
+                while True:
+                    down[j] -= 1
+                    if down[j] < 0 or tuple(down) not in found:
+                        break
+                    p += 1
+                if p - c > 0:
+                    up = list(beta)
+                    up[j] += 1
+                    t = tuple(up)
+                    if t not in found:
+                        found.add(t)
+                        nxt.append(t)
+        level = nxt
+    return tuple(sorted(found, key=lambda v: (sum(v), v)))
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_index_f_is_cartan_determinant(label):
+    info = catalog(label)
+    assert info.index_f == reference_det(info.cartan)
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_positive_roots_match_root_string_closure(label):
+    info = catalog(label)
+    got = tuple(r.coords for r in positive_roots(info))
+    assert got == reference_positive_roots(info.cartan)
 
 
 @pytest.mark.parametrize("label", sorted(TABLE))
@@ -63,7 +156,8 @@ def test_distinct_marks_E7():
 
 def test_label_parsing():
     assert catalog("B_3") == catalog("B3")
-    for bad in ("H3", "B1", "C1", "D3", "E9", "E5", "F5", "G3", "A0", "X2", "B"):
+    for bad in ("H3", "B1", "C1", "D3", "E9", "E5", "F5", "G3", "A0", "X2", "B",
+                "A9", "B9", "C9", "D9"):
         with pytest.raises(ValueError):
             catalog(bad)
 
