@@ -10,7 +10,8 @@ The central objects:
                                   from its generating series
                                   R_Phi(x^(n+1)) / prod (1 - x^{c_i});
 * ``char_poly(info, n)``        — its constituent at residue 1 (the
-                                  characteristic polynomial proper);
+                                  characteristic polynomial proper), as
+                                  R_Phi(Sbar^(n+1)) on one slot of tilde(L, g);
 * ``oracle_count(info, a, b, q)`` — independent count of complement
                                   points in (Z/q)^l, by pruned enumeration;
 * ``verify_*``                  — exact constituent-level checks of the
@@ -28,7 +29,6 @@ is not proven to hold for every type and n.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .ehrhart import PeriodConsistencyError, _series_quasi, ehrhart_quasi
@@ -36,11 +36,9 @@ from .eulerian import generalized_eulerian
 from .quasipoly import (
     OperatorPoly,
     QuasiPoly,
-    _convolve,
-    _make,
-    _moment_table,
-    _operator_rows,
+    _apply_block_product,
     _operator_terms,
+    _raw,
     apply_Sbar,
     minimal_period,
     tilde,
@@ -74,16 +72,16 @@ def char_quasi(info: RootSystemInfo, n: int) -> QuasiPoly:
 
 @lru_cache(maxsize=None)
 def char_poly(info: RootSystemInfo, n: int) -> RatPoly:
-    """The characteristic polynomial: the constituent of ``char_quasi`` at
-    residue 1, computed as that one slot of R_Phi(S^(n+1)) applied to L_Phi
-    without building the others."""
+    """The constituent of ``char_quasi`` at residue 1: by the main theorem,
+    R_Phi(Sbar^(n+1)) applied to the slot at residue 1 of tilde(L_Phi, g),
+    g = gcd(n+1, rho), alone; ``apply_Sbar`` reduces its output, so that
+    slot may be unreduced."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    terms, den = _operator_terms(OperatorPoly(generalized_eulerian(info), stride=n + 1))
-    L = ehrhart_quasi(info)
-    table = _moment_table(terms, L.period, len(L.rows[0]))
-    den, (row,) = _operator_rows(L, table, den, (1 % L.period,))
-    return RatPoly(Fraction(c, den) for c in row)
+    avg = tilde(ehrhart_quasi(info), math.gcd(n + 1, info.period_rho))
+    slot = _raw(1, avg.den, (avg.rows[1 % avg.period],))
+    op = OperatorPoly(generalized_eulerian(info), stride=n + 1)
+    return apply_Sbar(slot, op).constituents[0]
 
 
 def oracle_agreement_bound(info: RootSystemInfo, n: int) -> int:
@@ -166,47 +164,6 @@ def verify_main_theorem(info: RootSystemInfo, n: int) -> bool:
     averaged = tilde(ehrhart_quasi(info), g)
     rhs = apply_Sbar(averaged, OperatorPoly(generalized_eulerian(info), stride=n + 1))
     return lhs == rhs and g % minimal_period(lhs).period == 0
-
-
-def _power_sums(m: int, k: int, width: int) -> dict[int, list[int]]:
-    """``{a: [P_e for e < width]}``, P_e = sum of u^e over u < m, u = a (mod k),
-    in O(width^2) per class for any m: with u = a + k j, j < J, P_e is
-    sum_i C(e, i) a^(e-i) k^i S_i, and S_i = sum_{j<J} j^i solves
-    J^(i+1) = sum_{t<=i} C(i+1, t) S_t."""
-    C = [[math.comb(e, i) for i in range(e + 1)] for e in range(width + 1)]
-    out = {}
-    for a in range(min(k, m)):
-        J, S = (m - a + k - 1) // k, []
-        for i in range(width):
-            S.append((J ** (i + 1) - sum(c * v for c, v in zip(C[i + 1], S))) // (i + 1))
-        out[a] = [
-            sum(c * a ** (e - i) * k**i * S[i] for i, c in enumerate(C[e])) for e in range(width)
-        ]
-    return out
-
-
-def _apply_block_product(start: QuasiPoly, block: int, strides: list[int]) -> QuasiPoly:
-    """Apply prod_j (1/block) [block]_{S^{s_j}} to ``start`` in one kernel pass.
-
-    The product shifts by sum_j s_j u_j, u_j < block independent, so its
-    moment table is the factors' tables convolved.  With n = start's minimal
-    period, factor j moves class a mod n' = n / gcd(s_j, n) of the power sums
-    of u < block to class s_j a mod n, times (-s_j)^e; sums are kept per n'.
-    """
-    if block == 1:
-        return start
-    f = minimal_period(start)
-    n, width = f.period, len(f.rows[0])
-    sums, tables = {}, []
-    for s in strides:
-        k = n // math.gcd(s, n)
-        if k not in sums:
-            sums[k] = _power_sums(block, k, width)
-        factor = {s * a % n: [v * (-s) ** e for e, v in enumerate(p)] for a, p in sums[k].items()}
-        tables.append(factor)
-    table = _convolve(tables, n, width)
-    den, rows = _operator_rows(f, table, block ** len(strides), range(n))
-    return _make(n, den, rows)
 
 
 def verify_corollary1(info: RootSystemInfo, n: int) -> bool:

@@ -111,8 +111,9 @@ def _series_quasi(terms: dict[int, int], den: int, denominator_spec) -> QuasiPol
     series by a polynomial only: y^Q becomes (1 + (y - 1))^Q below (y - 1)^M.
     The reduced series is quasi-polynomial from t0 = max(0, deg - sum(d mult)
     + 1) on.  Lane i, residue t0 + i, is the Newton interpolant through
-    t0 + i + m p, m < M, in integers over den (M-1)! p^(M-1), checked at the
-    spare node m = M; the p lanes go through each step together, as lists."""
+    t0 + i + m p, m < M, in integers over den (M-1)! p^(M-1); it meets the
+    spare node m = M iff the M-th difference is zero.  The p lanes go
+    through each step together, as lists."""
     p = math.lcm(*(d for d, _ in denominator_spec))
     big_m = sum(mult for _, mult in denominator_spec)
     num: dict[int, int] = {}
@@ -133,23 +134,20 @@ def _series_quasi(terms: dict[int, int], den: int, denominator_spec) -> QuasiPol
                 series[r::d] = accumulate(series[r::d])
     scale = math.factorial(big_m - 1) * p ** (big_m - 1)
     nodes = [range(t0 + m * p, t0 + (m + 1) * p) for m in range(big_m + 1)]
-    vals = [series[m.start : m.stop] for m in nodes[:-1]]
+    vals = [series[m.start : m.stop] for m in nodes]
     newton = []  # lane-wise scale * (m-th forward difference) / (m! p^m)
     for m in range(big_m):
         w = scale // (math.factorial(m) * p**m)
         newton.append([v * w for v in vals[0]])
         vals = [list(map(sub, v, u)) for u, v in zip(vals, vals[1:])]
+    for i, v in enumerate(vals[0]):
+        if v:
+            raise PeriodConsistencyError(f"residue {(t0 + i) % p} misses node {nodes[-1][i]}")
     zero = [0] * p
     row = []  # nested form: newton[m] + (t - node_m) * (the terms above m), lane-wise
     for m in range(big_m - 1, -1, -1):
         row = [list(map(sub, u, map(mul, nodes[m], v))) for u, v in zip([zero] + row, row + [zero])]
         row[0] = list(map(add, row[0], newton[m]))
-    value = zero
-    for c in reversed(row):
-        value = list(map(add, map(mul, value, nodes[-1]), c))
-    for i, (v, s) in enumerate(zip(value, series[nodes[-1].start :])):
-        if v != s * scale:
-            raise PeriodConsistencyError(f"residue {(t0 + i) % p} misses node {nodes[-1][i]}")
     lanes = list(zip(*row))
     return _make(p, den * scale, [lanes[(r - t0) % p] for r in range(p)])
 

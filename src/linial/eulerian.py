@@ -53,7 +53,7 @@ def generalized_eulerian(info: RootSystemInfo) -> RatPoly:
     return acc
 
 
-def generalized_eulerian_by_weyl(info: RootSystemInfo, cap: int = 200000) -> RatPoly:
+def generalized_eulerian_by_weyl(info: RootSystemInfo) -> RatPoly:
     """R_Phi(t) summed over the Weyl group: (1/f) sum_w t^asc(w).
 
     The mark attached to alpha_i must follow the simple-root numbering, so
@@ -62,7 +62,7 @@ def generalized_eulerian_by_weyl(info: RootSystemInfo, cap: int = 200000) -> Rat
     """
     cs = (1,) + highest_root(info)
     counts: dict[int, int] = {}
-    for el in weyl_elements(info, cap):
+    for el in weyl_elements(info):
         a = 0
         for c, positive in zip(cs, el.signs):
             if positive:

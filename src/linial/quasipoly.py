@@ -16,6 +16,8 @@ bundles a coefficient polynomial with a stride m and stands for
 ``sum_k a_k S^(m*k)``.  ``apply_S`` realizes that action exactly.
 ``apply_Sbar`` is the constituent-wise variant: it shifts each slot's
 argument without rotating slots, so that ``(S f)(t) = (Sbar f^sigma)(t)``.
+``_apply_block_product`` applies a product of averaged block sums
+(1/m) [m]_{S^s} in one pass of the same kernel.
 """
 
 from __future__ import annotations
@@ -235,8 +237,7 @@ def tilde(f: QuasiPoly, k: int) -> QuasiPoly:
 # over the flattened (p, e) terms, all on integers.  A product of operators
 # shifts by the sum of its factors' shifts, so its table is the factors'
 # tables convolved, cyclic in d and binomial in e, by ``_convolve``; one
-# kernel pass applies the whole product.  ``apply_S``/``apply_Sbar``
-# request every slot; ``char_poly`` requests one.
+# kernel pass applies the whole product, as ``_apply_block_product`` does.
 
 
 def _moment_table(terms, modulus: int, width: int) -> dict[int, list[int]]:
@@ -274,9 +275,9 @@ def _operator_terms(op: OperatorPoly):
     return [(op.stride * k, c.numerator * (den // c.denominator)) for k, c in enumerate(cs)], den
 
 
-def _operator_rows(f: QuasiPoly, table: dict[int, list[int]], den: int, slots):
-    """``(den, rows)`` of the listed slots of the operator with moment table
-    ``table`` over ``den`` applied to ``f``, at f's stored period."""
+def _operator_rows(f: QuasiPoly, table: dict[int, list[int]], den: int) -> QuasiPoly:
+    """The operator with moment table ``table`` over ``den`` applied to
+    ``f``, at f's stored period."""
     n, width = f.period, len(f.rows[0])
     # the (p, e) terms with p + e < width, flattened p-major
     pe = [(p, e) for p in range(width) for e in range(width - p)]
@@ -285,7 +286,7 @@ def _operator_rows(f: QuasiPoly, table: dict[int, list[int]], den: int, slots):
     moments = {d: [mom[e] for _, e in pe] for d, mom in table.items()}
     weighted: dict[int, list[int]] = {}
     out = []
-    for r in slots:
+    for r in range(n):
         acc = [0] * len(pe)
         for d, mom in moments.items():
             j = (r - d) % n
@@ -295,15 +296,14 @@ def _operator_rows(f: QuasiPoly, table: dict[int, list[int]], den: int, slots):
                 cols = weighted[j] = [row[p + e] * w for (p, e), w in zip(pe, weights)]
             acc = list(map(add, acc, map(mul, cols, mom)))
         out.append([sum(acc[bounds[p] : bounds[p + 1]]) for p in range(width)])
-    return f.den * den, out
+    return _make(n, f.den * den, out)
 
 
 def _apply_operator(f: QuasiPoly, op: OperatorPoly, rotate: bool) -> QuasiPoly:
     f = minimal_period(f)
     terms, den = _operator_terms(op)
     table = _moment_table(terms, f.period if rotate else 1, len(f.rows[0]))
-    den, rows = _operator_rows(f, table, den, range(f.period))
-    return _make(f.period, den, rows)
+    return _operator_rows(f, table, den)
 
 
 def apply_S(f: QuasiPoly, op: OperatorPoly) -> QuasiPoly:
@@ -319,6 +319,46 @@ def apply_Sbar(f: QuasiPoly, op: OperatorPoly) -> QuasiPoly:
     """Constituent-wise variant: slot r of the result is
     ``sum_k a_k * (slot r)(t - m k)`` — no slot rotation."""
     return _apply_operator(f, op, rotate=False)
+
+
+def _power_sums(m: int, k: int, width: int) -> dict[int, list[int]]:
+    """``{a: [P_e for e < width]}``, P_e = sum of u^e over u < m, u = a (mod k),
+    in O(width^2) per class for any m: with u = a + k j, j < J, P_e is
+    sum_i C(e, i) a^(e-i) k^i S_i, and S_i = sum_{j<J} j^i solves
+    J^(i+1) = sum_{t<=i} C(i+1, t) S_t."""
+    C = [[math.comb(e, i) for i in range(e + 1)] for e in range(width + 1)]
+    out = {}
+    for a in range(min(k, m)):
+        J, S = (m - a + k - 1) // k, []
+        for i in range(width):
+            S.append((J ** (i + 1) - sum(c * v for c, v in zip(C[i + 1], S))) // (i + 1))
+        out[a] = [
+            sum(c * a ** (e - i) * k**i * S[i] for i, c in enumerate(C[e])) for e in range(width)
+        ]
+    return out
+
+
+def _apply_block_product(start: QuasiPoly, block: int, strides: list[int]) -> QuasiPoly:
+    """Apply prod_j (1/block) [block]_{S^{s_j}} to ``start`` in one kernel pass.
+
+    The product shifts by sum_j s_j u_j, u_j < block independent, so its
+    moment table is the factors' tables convolved.  With n = start's minimal
+    period, factor j moves class a mod n' = n / gcd(s_j, n) of the power sums
+    of u < block to class s_j a mod n, times (-s_j)^e; sums are kept per n'.
+    """
+    if block == 1:
+        return start
+    f = minimal_period(start)
+    n, width = f.period, len(f.rows[0])
+    sums, tables = {}, []
+    for s in strides:
+        k = n // math.gcd(s, n)
+        if k not in sums:
+            sums[k] = _power_sums(block, k, width)
+        factor = {s * a % n: [v * (-s) ** e for e, v in enumerate(p)] for a, p in sums[k].items()}
+        tables.append(factor)
+    table = _convolve(tables, n, width)
+    return _operator_rows(f, table, block ** len(strides))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ CLI_LABELS = ("A3", "B4", "C3", "D4", "E6", "E7", "E8", "F4", "G2")
 @dataclass(frozen=True)
 class RootSystemInfo:
     label: str
-    family: str
     rank: int
     marks: tuple[int, ...]  # c_0..c_l, ascending (c_0 = 1)
     distinct_marks: tuple[tuple[int, int], ...]  # (c-hat, l-hat) pairs
@@ -154,7 +153,6 @@ def catalog(label: str) -> RootSystemInfo:
     cartan = _cartan_matrix(family, rank)
     return RootSystemInfo(
         label=f"{family}{rank}",
-        family=family,
         rank=rank,
         marks=marks,
         distinct_marks=distinct,
@@ -212,20 +210,22 @@ def weyl_group_order(info: RootSystemInfo) -> int:
     return math.factorial(info.rank) * info.index_f * math.prod(info.marks)
 
 
+# Largest Weyl group that ``weyl_elements`` enumerates.
+_WEYL_CAP = 200000
+
+
 @lru_cache(maxsize=None)
-def weyl_elements(info: RootSystemInfo, cap: int = 200000) -> tuple[WeylElement, ...]:
+def weyl_elements(info: RootSystemInfo) -> tuple[WeylElement, ...]:
     """Every Weyl group element, as the tuple of images of the simple roots,
     by breadth-first closure; raises GroupTooLargeError, before enumerating,
-    when the group order exceeds ``cap``.
+    when the group order exceeds ``_WEYL_CAP``.
 
     Each element also records the signs of w(alpha_i) for i = 0..l, where
     alpha_0 = -(highest root).
     """
     order = weyl_group_order(info)
-    if order > cap:
-        raise GroupTooLargeError(
-            f"Weyl group of {info.label} has order {order}, over cap {cap}"
-        )
+    if order > _WEYL_CAP:
+        raise GroupTooLargeError(f"Weyl group of {info.label} has order {order} > {_WEYL_CAP}")
     rank = info.rank
     cartan = info.cartan
     theta = highest_root(info)

