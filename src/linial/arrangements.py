@@ -11,7 +11,8 @@ The central objects:
                                   R_Phi(x^(n+1)) / prod (1 - x^{c_i});
 * ``char_poly(info, n)``        — its constituent at residue 1 (the
                                   characteristic polynomial proper), as
-                                  R_Phi(Sbar^(n+1)) on one slot of tilde(L, g);
+                                  R_Phi(Sbar^(n+1)) on one slot of tilde(L, g),
+                                  applied as R_Phi(S^(n+1));
 * ``oracle_count(info, a, b, q)`` — independent count of complement
                                   points in (Z/q)^l, by pruned enumeration;
 * ``verify_*``                  — exact constituent-level checks of the
@@ -39,7 +40,7 @@ from .quasipoly import (
     _apply_block_product,
     _operator_terms,
     _raw,
-    apply_Sbar,
+    apply_S,
     minimal_period,
     tilde,
 )
@@ -74,14 +75,15 @@ def char_quasi(info: RootSystemInfo, n: int) -> QuasiPoly:
 def char_poly(info: RootSystemInfo, n: int) -> RatPoly:
     """The constituent of ``char_quasi`` at residue 1: by the main theorem,
     R_Phi(Sbar^(n+1)) applied to the slot at residue 1 of tilde(L_Phi, g),
-    g = gcd(n+1, rho), alone; ``apply_Sbar`` reduces its output, so that
-    slot may be unreduced."""
+    g = gcd(n+1, rho), alone; ``apply_S`` reduces its output, so that
+    slot may be unreduced.  Sbar shifts without rotating slots, so on this
+    period-1 operand Sbar^(n+1) = S^(n+1)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     avg = tilde(ehrhart_quasi(info), math.gcd(n + 1, info.period_rho))
     slot = _raw(1, avg.den, (avg.rows[1 % avg.period],))
     op = OperatorPoly(generalized_eulerian(info), stride=n + 1)
-    return apply_Sbar(slot, op).constituents[0]
+    return apply_S(slot, op).constituents[0]
 
 
 def oracle_agreement_bound(info: RootSystemInfo, n: int) -> int:
@@ -158,11 +160,12 @@ def oracle_count(info: RootSystemInfo, a: int, b: int, q: int) -> int:
 
 def verify_main_theorem(info: RootSystemInfo, n: int) -> bool:
     """chi_quasi == R_Phi(Sbar^(n+1)) applied to the tilde-average of L at
-    gcd(n+1, rho), and the minimal period divides gcd(n+1, rho)."""
+    g = gcd(n+1, rho), and the minimal period divides g.  That average has a
+    period dividing g, hence n+1, so Sbar^(n+1) = S^(n+1) on it."""
     g = math.gcd(n + 1, info.period_rho)
     lhs = char_quasi(info, n)
     averaged = tilde(ehrhart_quasi(info), g)
-    rhs = apply_Sbar(averaged, OperatorPoly(generalized_eulerian(info), stride=n + 1))
+    rhs = apply_S(averaged, OperatorPoly(generalized_eulerian(info), stride=n + 1))
     return lhs == rhs and g % minimal_period(lhs).period == 0
 
 

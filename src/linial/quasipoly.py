@@ -1,5 +1,5 @@
-"""Quasi-polynomials: periods, constituents, the cyclic sigma action,
-tilde averaging, and the shift operators S and S-bar.
+"""Quasi-polynomials: periods, constituents, tilde averaging, and the
+shift operator S.
 
 A quasi-polynomial of period ``n`` has one polynomial constituent per
 residue class mod n; slot ``r`` answers for arguments ``t = r (mod n)``.
@@ -14,8 +14,6 @@ derives :class:`RatPoly` slots only for callers that ask.
 The shift operator acts by ``(S f)(t) = f(t - 1)``; an ``OperatorPoly``
 bundles a coefficient polynomial with a stride m and stands for
 ``sum_k a_k S^(m*k)``.  ``apply_S`` realizes that action exactly.
-``apply_Sbar`` is the constituent-wise variant: it shifts each slot's
-argument without rotating slots, so that ``(S f)(t) = (Sbar f^sigma)(t)``.
 ``_apply_block_product`` applies a product of averaged block sums
 (1/m) [m]_{S^s} in one pass of the same kernel.
 """
@@ -36,10 +34,8 @@ __all__ = [
     "OperatorPoly",
     "minimal_period",
     "has_gcd_property",
-    "sigma_pow",
     "tilde",
     "apply_S",
-    "apply_Sbar",
     "quasipoly_to_json",
 ]
 
@@ -198,17 +194,9 @@ def has_gcd_property(f: QuasiPoly) -> bool:
     return all(rows[r % n] == rows[math.gcd(r, n) % n] for r in range(1, n + 1))
 
 
-def sigma_pow(f: QuasiPoly, k: int) -> QuasiPoly:
-    """Apply the cyclic slot rotation sigma = (1 ... n), k times, at the
-    minimal period: new slot r holds old constituent (r - k) mod n."""
-    f = minimal_period(f)
-    n = f.period
-    return _raw(n, f.den, tuple(f.rows[(r - k) % n] for r in range(n)))
-
-
 def tilde(f: QuasiPoly, k: int) -> QuasiPoly:
-    """Average of ``f`` over the orbit of sigma^k, taken at f's minimal
-    period n.
+    """Average of ``f`` over the orbit of sigma^k, sigma the cyclic slot
+    rotation, taken at f's minimal period n.
 
     The orbit of slot r is the coset r + gZ/n with g = gcd(k, n), so slot r
     of the average is (g/n) * sum of the constituents at slots j = r (mod g):
@@ -230,14 +218,14 @@ def tilde(f: QuasiPoly, k: int) -> QuasiPoly:
 #     M_e = sum a (-s)^e,
 #
 # so it enters only through its moment table {d: [M_e]}: the power moments
-# of its terms, one list per class d = s mod n (a single class for S-bar),
-# over one integer denominator.  ``_moment_table`` builds a table from
-# (shift, weight) terms; ``_operator_rows`` then takes binomial-weighted
-# columns once per source row, and a (slot, class) pair costs one pass
-# over the flattened (p, e) terms, all on integers.  A product of operators
-# shifts by the sum of its factors' shifts, so its table is the factors'
-# tables convolved, cyclic in d and binomial in e, by ``_convolve``; one
-# kernel pass applies the whole product, as ``_apply_block_product`` does.
+# of its terms, one list per class d = s mod n, over one integer
+# denominator.  ``_moment_table`` builds a table from (shift, weight)
+# terms; ``_operator_rows`` then takes binomial-weighted columns once per
+# source row, and a (slot, class) pair costs one pass over the flattened
+# (p, e) terms, all on integers.  A product of operators shifts by the sum
+# of its factors' shifts, so its table is the factors' tables convolved,
+# cyclic in d and binomial in e, by ``_convolve``; one kernel pass applies
+# the whole product, as ``_apply_block_product`` does.
 
 
 def _moment_table(terms, modulus: int, width: int) -> dict[int, list[int]]:
@@ -299,26 +287,15 @@ def _operator_rows(f: QuasiPoly, table: dict[int, list[int]], den: int) -> Quasi
     return _make(n, f.den * den, out)
 
 
-def _apply_operator(f: QuasiPoly, op: OperatorPoly, rotate: bool) -> QuasiPoly:
-    f = minimal_period(f)
-    terms, den = _operator_terms(op)
-    table = _moment_table(terms, f.period if rotate else 1, len(f.rows[0]))
-    return _operator_rows(f, table, den)
-
-
 def apply_S(f: QuasiPoly, op: OperatorPoly) -> QuasiPoly:
     """Apply ``sum_k a_k S^(m k)`` to ``f``: result(t) = sum a_k f(t - m k).
 
     Materialized at f's minimal period: slot r draws on the constituent at
     slot (r - m k) mod n with its argument shifted by m k.
     """
-    return _apply_operator(f, op, rotate=True)
-
-
-def apply_Sbar(f: QuasiPoly, op: OperatorPoly) -> QuasiPoly:
-    """Constituent-wise variant: slot r of the result is
-    ``sum_k a_k * (slot r)(t - m k)`` — no slot rotation."""
-    return _apply_operator(f, op, rotate=False)
+    f = minimal_period(f)
+    terms, den = _operator_terms(op)
+    return _operator_rows(f, _moment_table(terms, f.period, len(f.rows[0])), den)
 
 
 def _power_sums(m: int, k: int, width: int) -> dict[int, list[int]]:

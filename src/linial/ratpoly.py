@@ -9,7 +9,7 @@ Besides the ring operations this module provides the small amount of
 special-purpose machinery the rest of the package leans on:
 
 * ``cyclotomic_type(c)`` builds ``[c]_t = 1 + t + ... + t^(c-1)``,
-* exact division / congruence predicates,
+* the congruence predicate modulo a power of ``1 - t``,
 * the residue-class moment test that characterises divisibility by
   ``[n]_t^(l+1)``.
 
@@ -23,13 +23,9 @@ from typing import Iterable
 
 __all__ = [
     "RatPoly",
-    "X",
     "cyclotomic_type",
     "shift_argument",
     "compose_power",
-    "poly_divmod",
-    "divides",
-    "poly_gcd",
     "derivative",
     "congruent_mod_power",
     "moment_divisibility",
@@ -159,10 +155,6 @@ class RatPoly:
         return f"RatPoly({render_poly(self)})"
 
 
-#: The variable ``t`` itself, for building polynomials expression-style.
-X = RatPoly((0, 1))
-
-
 def cyclotomic_type(c: int) -> RatPoly:
     """Return ``[c]_t = 1 + t + ... + t^(c-1)``; ``[0]_t = 0``."""
     if c < 0:
@@ -198,46 +190,6 @@ def compose_power(p: RatPoly, m: int) -> RatPoly:
     for i, c in enumerate(p.coeffs):
         out[i * m] = c
     return RatPoly(out)
-
-
-def poly_divmod(f: RatPoly, g: RatPoly) -> tuple[RatPoly, RatPoly]:
-    """Exact division with remainder: ``f = q*g + r`` with deg r < deg g."""
-    if g.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f.coeffs)
-    dg = len(g.coeffs) - 1
-    lead = g.coeffs[-1]
-    q = [Fraction(0)] * max(len(rem) - dg, 0)
-    for i in range(len(rem) - 1, dg - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        factor = c / lead
-        q[i - dg] = factor
-        for j, gc in enumerate(g.coeffs):
-            rem[i - dg + j] -= factor * gc
-    return RatPoly(q), RatPoly(rem)
-
-
-def divides(d: RatPoly, g: RatPoly) -> tuple[bool, RatPoly | None]:
-    """Whether ``d`` divides ``g`` exactly; quotient returned on success."""
-    if d.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    q, r = poly_divmod(g, d)
-    if r.is_zero:
-        return True, q
-    return False, None
-
-
-def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
-    """Monic gcd over Q (a nonzero constant gcd is returned as 1)."""
-    a, b = f, g
-    while not b.is_zero:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero:
-        return a
-    return a.scale(1 / a.leading)
 
 
 def derivative(p: RatPoly) -> RatPoly:

@@ -227,6 +227,21 @@ def test_main_theorem(label, n):
     assert verify_main_theorem(catalog(label), n)
 
 
+# (type, n) with g = gcd(n + 1, rho) = 2, 2 and 6
+WRONG_AVERAGE_CASES = [("B2", 1), ("E8", 1), ("G2", 5)]
+
+
+def test_main_theorem_fails_on_a_wrong_average(monkeypatch):
+    # tilde(L, 1) in place of tilde(L, g) must be refused where g > 1
+    real = arrangements.tilde
+    with monkeypatch.context() as patch:
+        patch.setattr(arrangements, "tilde", lambda f, k: real(f, 1))
+        for label, n in WRONG_AVERAGE_CASES:
+            assert not verify_main_theorem(catalog(label), n), (label, n)
+    for label, n in WRONG_AVERAGE_CASES:
+        assert verify_main_theorem(catalog(label), n), (label, n)
+
+
 @pytest.mark.parametrize("label", SMALL_TYPES)
 @pytest.mark.parametrize("n", range(0, 5))
 def test_corollary_and_radical_route(label, n):

@@ -20,9 +20,10 @@ from linial.ehrhart import (
     series_to_quasipoly,
 )
 import linial.ehrhart
-from linial.quasipoly import QuasiPoly, minimal_period, sigma_pow, sorted_divisors, tilde
-from linial.ratpoly import RatPoly, cyclotomic_type, poly_divmod, poly_gcd
+from linial.quasipoly import QuasiPoly, minimal_period, sorted_divisors, tilde
+from linial.ratpoly import RatPoly, cyclotomic_type
 from linial.rootsystems import catalog
+from reference_algebra import poly_divmod, poly_gcd, sigma_pow
 
 
 def denumerant_count_slow(info, q):
@@ -447,7 +448,11 @@ def test_coprime_constituents_depend_only_on_radical(label):
 
 
 def test_sigma_interacts_with_ehrhart():
-    # rotating by the full period is the identity on L
+    # rotating by rho is the identity on L, and rotating by rho / p is not
+    # for any prime p dividing rho: L's minimal period is rho itself
     info = catalog("F4")
     L = ehrhart_quasi(info)
-    assert sigma_pow(L, info.period_rho) == L
+    rho = info.period_rho
+    assert sigma_pow(L, rho) == L
+    for p in (2, 3):
+        assert sigma_pow(L, rho // p) != L

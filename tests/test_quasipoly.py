@@ -1,4 +1,5 @@
-"""Quasi-polynomials, the shift operators S and S-bar, rotation, averaging."""
+"""Quasi-polynomials, the shift operator S (against S-bar and the rotation
+sigma of the test-side references), averaging."""
 
 import random
 from fractions import Fraction
@@ -13,16 +14,15 @@ from linial.quasipoly import (
     OperatorPoly,
     QuasiPoly,
     apply_S,
-    apply_Sbar,
     has_gcd_property,
     minimal_period,
     quasipoly_to_json,
-    sigma_pow,
     sorted_divisors,
     tilde,
 )
-from linial.ratpoly import RatPoly, compose_power, cyclotomic_type, divides, shift_argument
+from linial.ratpoly import RatPoly, compose_power, cyclotomic_type
 from linial.rootsystems import catalog
+from reference_algebra import divides, shift_S, shift_Sbar, sigma_pow
 
 
 def qp(*constituent_coeff_lists):
@@ -121,27 +121,6 @@ def test_apply_S_general_operator_pointwise():
             assert g.eval(t) == want
 
 
-def shifted_sums(f, op):
-    """apply_S and apply_Sbar by their definition, on RatPoly constituents:
-    slot r is sum_k a_k * shift_argument(slot j, -m k) with j = r - m k
-    (rotating) or j = r, materialized at f's minimal period."""
-    f = minimal_period(f)
-    n, cs = f.period, f.constituents
-    steps = [op.stride * k for k in range(len(op.coeffs.coeffs))]
-    # each (slot, shift) pair is read once by S and once by S-bar
-    shifted = [[shift_argument(c, -s) for s in steps] for c in cs]
-    out = []
-    for rotate in (True, False):
-        slots = []
-        for r in range(n):
-            acc = RatPoly.zero()
-            for k, (a, s) in enumerate(zip(op.coeffs.coeffs, steps)):
-                acc = acc + shifted[(r - s) % n if rotate else r][k].scale(a)
-            slots.append(acc)
-        out.append(QuasiPoly(n, slots))
-    return out
-
-
 @pytest.mark.parametrize("label", ALL_TYPES)
 def test_apply_matches_shift_reference_alcove(label):
     # the moment kernel against literal Taylor shifts, on every L_Phi, for
@@ -156,9 +135,7 @@ def test_apply_matches_shift_reference_alcove(label):
         for s in sorted(set(info.marks))
     ]
     for op in ops:
-        want_S, want_Sbar = shifted_sums(L, op)
-        assert_same_quasipoly(apply_S(L, op), want_S)
-        assert_same_quasipoly(apply_Sbar(L, op), want_Sbar)
+        assert_same_quasipoly(apply_S(L, op), shift_S(L, op))
 
 
 def test_apply_matches_shift_reference_random():
@@ -170,26 +147,40 @@ def test_apply_matches_shift_reference_random():
             Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))
         )
         op = OperatorPoly(coeffs, m)
-        want_S, want_Sbar = shifted_sums(f, op)
-        assert_same_quasipoly(apply_S(f, op), want_S)
-        assert_same_quasipoly(apply_Sbar(f, op), want_Sbar)
-
-
-def test_apply_Sbar_shifts_without_rotation():
-    f = qp([0, 1], [100])  # slot 0: t, slot 1: 100
-    op = OperatorPoly(RatPoly((0, 1)), 1)  # S-bar as a single shift
-    g = apply_Sbar(f, op)
-    # slot r of result = (slot r of f)(t - 1): evaluation at even t uses slot 0
-    assert g.eval(4) == 3
-    assert g.eval(7) == 100
+        assert_same_quasipoly(apply_S(f, op), shift_S(f, op))
 
 
 def test_S_equals_Sbar_after_rotation():
+    # the paper's S = Sbar sigma, on single shifts
     rng = random.Random(103)
     op = OperatorPoly(RatPoly((0, 1)), 1)
     for _ in range(30):
         f = random_quasipoly(rng)
-        assert apply_S(f, op) == apply_Sbar(sigma_pow(f, 1), op)
+        assert apply_S(f, op) == shift_Sbar(sigma_pow(f, 1), op)
+
+
+def test_S_is_Sbar_on_the_main_theorem_operand():
+    # Sbar^N = S^N on f whenever f's period divides N.  For every divisor g of
+    # rho take N = g, so that gcd(N, rho) = g: R_Phi(S^N) on tilde(L, g), the
+    # main theorem's operand, against R_Phi(Sbar^N) by Taylor shifts
+    for label in ALL_TYPES:
+        info = catalog(label)
+        L, R = ehrhart_quasi(info), generalized_eulerian(info)
+        for g in sorted_divisors(info.period_rho):
+            avg, op = tilde(L, g), OperatorPoly(R, g)
+            assert_same_quasipoly(apply_S(avg, op), shift_Sbar(avg, op))
+
+
+def test_S_is_Sbar_when_the_period_divides_the_stride():
+    rng = random.Random(115)
+    for _ in range(60):
+        f = random_quasipoly(rng)
+        m = minimal_period(f).period * rng.randint(1, 3)
+        coeffs = RatPoly(
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))
+        )
+        op = OperatorPoly(coeffs, m)
+        assert_same_quasipoly(apply_S(f, op), shift_Sbar(f, op))
 
 
 def test_operator_linearity():
@@ -234,7 +225,6 @@ def test_difference_operator_kills_polynomials():
         p = RatPoly(tuple(Fraction(rng.randint(-9, 9)) for _ in range(deg)) + (Fraction(1),))
         f = QuasiPoly.from_poly(p)
         op = operator_product(*[(RatPoly((1, -1)), 1)] * (int(p.degree) + 1))
-        assert apply_Sbar(f, op) == QuasiPoly.zero(1)
         assert apply_S(f, op) == QuasiPoly.zero(1)
 
 
@@ -337,7 +327,8 @@ def test_tilde_linear():
 
 def test_averaging_transfer():
     # [c]_{S^m}^(ell+1) g(S^m) f  ==  [c]_{Sbar^m}^(ell+1) g(Sbar^m) tilde(f, gcd(m, n))
-    # whenever c is a multiple of n / gcd(m, n)
+    # whenever c is a multiple of n / gcd(m, n); Sbar^m = S^m on the right,
+    # whose period divides m
     rng = random.Random(110)
     done = 0
     while done < 40:
@@ -349,7 +340,7 @@ def test_averaging_transfer():
         g = RatPoly(tuple(Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))))
         block = cyclotomic_type(c) ** (ell + 1) * g
         lhs = apply_S(f, OperatorPoly(block, m))
-        rhs = apply_Sbar(tilde(f, gcd(m, n)), OperatorPoly(block, m))
+        rhs = apply_S(tilde(f, gcd(m, n)), OperatorPoly(block, m))
         for t in range(0, 4 * n + 1):
             assert lhs.eval(t) == rhs.eval(t), (f, m, c)
         done += 1
@@ -385,11 +376,10 @@ def test_canonical_form_invariants():
     for _ in range(60):
         f = random_quasipoly(rng).scale(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
         g = random_quasipoly(rng)
-        for h in (f, g, f + g, f - g, f - f, tilde(f, rng.randint(0, 6)), sigma_pow(f, 1)):
+        for h in (f, g, f + g, f - g, f - f, tilde(f, rng.randint(0, 6))):
             assert_canonical(h)
         op = OperatorPoly(RatPoly((Fraction(1, 3), Fraction(-2, 5))), rng.randint(1, 3))
         assert_canonical(apply_S(f, op))
-        assert_canonical(apply_Sbar(f, op))
 
 
 def test_canonical_form_same_function_same_form():
