@@ -17,7 +17,6 @@ Run:  python3 demos/alcove_counts.py
 """
 
 from linial.ehrhart import decompose_ehrhart, denumerant_count, ehrhart_quasi
-from linial.quasipoly import minimal_period
 from linial.ratpoly import render_poly
 from linial.rootsystems import catalog
 
@@ -34,7 +33,7 @@ for label in ("A2", "B3", "G2", "F4"):
     assert direct == from_gf, "generating-function route disagrees"
     print("  (generating-series quasi-polynomial agrees on every value)")
 
-    assert minimal_period(L).period == info.period_rho
+    assert L.period == info.period_rho
 
     parts = decompose_ehrhart(info)
     total = parts[0][1]

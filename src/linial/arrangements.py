@@ -41,7 +41,6 @@ from .quasipoly import (
     _operator_terms,
     _raw,
     apply_S,
-    minimal_period,
     tilde,
 )
 from .ratpoly import RatPoly
@@ -166,7 +165,7 @@ def verify_main_theorem(info: RootSystemInfo, n: int) -> bool:
     lhs = char_quasi(info, n)
     averaged = tilde(ehrhart_quasi(info), g)
     rhs = apply_S(averaged, OperatorPoly(generalized_eulerian(info), stride=n + 1))
-    return lhs == rhs and g % minimal_period(lhs).period == 0
+    return lhs == rhs and g % lhs.period == 0
 
 
 def verify_corollary1(info: RootSystemInfo, n: int) -> bool:
@@ -188,7 +187,7 @@ def gcd_prime_polynomial(info: RootSystemInfo, n: int) -> RatPoly:
     if math.gcd(n + 1, info.period_rho) != 1:
         raise ValueError("requires gcd(n+1, rho) = 1")
     start = QuasiPoly.from_poly(RatPoly.monomial(info.rank))
-    built = minimal_period(_apply_block_product(start, n + 1, list(info.marks)))
+    built = _apply_block_product(start, n + 1, list(info.marks))
     if built.period != 1:
         raise PeriodConsistencyError(f"block product has period {built.period}, not 1")
     return built.constituents[0]
@@ -206,7 +205,6 @@ def verify_rad_theorem(info: RootSystemInfo, n: int) -> bool:
     target = char_poly(info, g - 1)
     start = QuasiPoly.from_poly(char_poly(info, gr - 1))
     built = _apply_block_product(start, eta, [c * gr for c in info.marks])
-    built = minimal_period(built)
     return built.period == 1 and built.constituents[0] == target
 
 

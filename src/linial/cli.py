@@ -42,7 +42,7 @@ from .arrangements import (
     verify_rad_theorem,
 )
 from .ehrhart import decompose_ehrhart, denumerant_count, ehrhart_quasi
-from .quasipoly import minimal_period, quasipoly_to_json
+from .quasipoly import quasipoly_to_json
 from .ratpoly import render_poly
 from .rootline import verify_line
 from .rootsystems import CLI_LABELS, catalog
@@ -199,7 +199,7 @@ def cmd_verify(args) -> int:
     p = char_poly(info, n)
     f = char_quasi(info, n)
     record["coeffs"] = _desc_coeffs(p)
-    record["period"] = minimal_period(f).period
+    record["period"] = f.period
 
     first_failure = None
 
@@ -256,7 +256,7 @@ def cmd_ehrhart(args) -> int:
     record = {
         "command": "ehrhart",
         "type": info.label,
-        "period": minimal_period(f).period,
+        "period": f.period,
         "rows": rows,
         "all_match": all_ok,
     }

@@ -30,7 +30,6 @@ from .quasipoly import (
     QuasiPoly,
     _make,
     apply_S,
-    minimal_period,
     sorted_divisors,
     tilde,
 )
@@ -175,12 +174,13 @@ def decompose_ehrhart(info: RootSystemInfo) -> list[tuple[int, QuasiPoly]]:
     L = ehrhart_quasi(info)
     parts = []
     for d in sorted({e for c in info.marks for e in sorted_divisors(c)}):
-        t = tilde(L, d).at_period(d)
+        t = tilde(L, d)
+        cols = list(zip(*(t.rows[a % t.period] for a in range(d))))
         rows = [
-            [sum(_ramanujan(d, r - a) * v for a, v in enumerate(col)) for col in zip(*t.rows)]
+            [sum(_ramanujan(d, r - a) * v for a, v in enumerate(col)) for col in cols]
             for r in range(d)
         ]
-        parts.append((d, minimal_period(_make(d, t.den * d, rows))))
+        parts.append((d, _make(d, t.den * d, rows)))
     return parts
 
 

@@ -7,8 +7,10 @@ residue class mod n; slot ``r`` answers for arguments ``t = r (mod n)``.
 "constituent j" <-> slot ``j mod n``, so the n-th constituent is slot 0.)
 
 Each is stored in one canonical integer form, slot r = ``rows[r] / den``:
+the period is minimal (no proper divisor d has rows[d:] == rows[:n - d]),
 den > 0 and coprime to the entries, rows of one width without an all-zero
-top column.  Every operation works on these int tuples; ``constituents``
+top column.  So one function has one form, and equality is equality of
+forms.  Every operation works on these int tuples; ``constituents``
 derives :class:`RatPoly` slots only for callers that ask.
 
 The shift operator acts by ``(S f)(t) = f(t - 1)``; an ``OperatorPoly``
@@ -32,7 +34,6 @@ from .ratpoly import RatPoly
 __all__ = [
     "QuasiPoly",
     "OperatorPoly",
-    "minimal_period",
     "has_gcd_property",
     "tilde",
     "apply_S",
@@ -69,8 +70,8 @@ class QuasiPoly:
         return cls(1, (p,))
 
     @classmethod
-    def zero(cls, period: int = 1) -> "QuasiPoly":
-        return cls(period, (RatPoly.zero(),) * period)
+    def zero(cls) -> "QuasiPoly":
+        return _raw(1, 1, ((),))
 
     @property
     def constituents(self) -> tuple[RatPoly, ...]:
@@ -90,12 +91,6 @@ class QuasiPoly:
         width = len(self.rows[0])
         return width - 1 if width else float("-inf")
 
-    def at_period(self, n: int) -> "QuasiPoly":
-        """Re-materialize at a period ``n`` that is a multiple of the current one."""
-        if n % self.period:
-            raise ValueError("new period must be a multiple of the old")
-        return _raw(n, self.den, self.rows * (n // self.period))
-
     def scale(self, c: Fraction | int) -> "QuasiPoly":
         num, den = c.numerator, c.denominator
         return _make(self.period, self.den * den, [[num * v for v in row] for row in self.rows])
@@ -112,16 +107,13 @@ class QuasiPoly:
         return self + other.scale(-1)
 
     def __eq__(self, other: object) -> bool:
-        """Equality as functions: compare after minimal-period normalization."""
+        """Equality as functions, which is equality of canonical forms."""
         if not isinstance(other, QuasiPoly):
             return NotImplemented
-        a = minimal_period(self)
-        b = minimal_period(other)
-        return a.period == b.period and a.den == b.den and a.rows == b.rows
+        return (self.period, self.den, self.rows) == (other.period, other.den, other.rows)
 
     def __hash__(self) -> int:
-        f = minimal_period(self)
-        return hash((f.period, f.den, f.rows))
+        return hash((self.period, self.den, self.rows))
 
     def __repr__(self) -> str:
         return f"QuasiPoly(period={self.period}, constituents={list(self.constituents)!r})"
@@ -140,7 +132,9 @@ def _raw(period: int, den: int, rows) -> QuasiPoly:
 
 def _make(period: int, den: int, rows) -> QuasiPoly:
     """A QuasiPoly from any ``rows / den``: brought to rows of one width
-    without an all-zero top column, den > 0 and coprime to the entries."""
+    without an all-zero top column, den > 0 and coprime to the entries, and
+    cut to the smallest divisor d of ``period`` with
+    rows[d:] == rows[:period - d], the minimal period."""
     width = 0
     for row in rows:
         k = len(row)
@@ -148,10 +142,12 @@ def _make(period: int, den: int, rows) -> QuasiPoly:
             k -= 1
         width = max(width, k)
     if not width:
-        return _raw(period, 1, ((),) * period)
+        return QuasiPoly.zero()
     rows = [list(row[:width]) + [0] * (width - len(row)) for row in rows]
     g = math.gcd(den, *chain.from_iterable(rows)) * (1 if den > 0 else -1)
-    return _raw(period, den // g, tuple(tuple(v // g for v in row) for row in rows))
+    rows = tuple(tuple(v // g for v in row) for row in rows)
+    d = next(d for d in sorted_divisors(period) if rows[d:] == rows[: period - d])
+    return _raw(d, den // g, rows[:d])
 
 
 @dataclass(frozen=True)
@@ -164,15 +160,6 @@ class OperatorPoly:
     def __post_init__(self):
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-
-
-def minimal_period(f: QuasiPoly) -> QuasiPoly:
-    """Smallest-period representation equal to ``f`` pointwise."""
-    n, rows = f.period, f.rows
-    for d in sorted_divisors(n):
-        if rows[d:] == rows[: n - d]:
-            return _raw(d, f.den, rows[:d]) if d != n else f
-    return f  # pragma: no cover - n itself always matches
 
 
 def sorted_divisors(n: int) -> list[int]:
@@ -189,25 +176,25 @@ def sorted_divisors(n: int) -> list[int]:
 
 def has_gcd_property(f: QuasiPoly) -> bool:
     """True iff constituent r coincides with constituent gcd(r, n) for
-    r = 1..n, at f's stored period n."""
+    r = 1..n, at f's minimal period n.  Any multiple N of n gives the same
+    verdict, since gcd(gcd(r, N), n) = gcd(r, n) for n | N."""
     n, rows = f.period, f.rows
     return all(rows[r % n] == rows[math.gcd(r, n) % n] for r in range(1, n + 1))
 
 
 def tilde(f: QuasiPoly, k: int) -> QuasiPoly:
     """Average of ``f`` over the orbit of sigma^k, sigma the cyclic slot
-    rotation, taken at f's minimal period n.
+    rotation, taken at f's period n, which is minimal.
 
     The orbit of slot r is the coset r + gZ/n with g = gcd(k, n), so slot r
     of the average is (g/n) * sum of the constituents at slots j = r (mod g):
     g column sums of n/g rows, over the denominator den * n/g.  The result
-    has period dividing g and is returned at its minimal period.
+    has a period dividing g.
     """
-    f = minimal_period(f)
     n = f.period
     g = math.gcd(k, n)
     rows = [[sum(col) for col in zip(*f.rows[r::g])] for r in range(g)]
-    return minimal_period(_make(g, f.den * (n // g), rows))
+    return _make(g, f.den * (n // g), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +252,8 @@ def _operator_terms(op: OperatorPoly):
 
 def _operator_rows(f: QuasiPoly, table: dict[int, list[int]], den: int) -> QuasiPoly:
     """The operator with moment table ``table`` over ``den`` applied to
-    ``f``, at f's stored period."""
+    ``f``, computed at f's period, which is minimal; the result is cut to
+    its own."""
     n, width = f.period, len(f.rows[0])
     # the (p, e) terms with p + e < width, flattened p-major
     pe = [(p, e) for p in range(width) for e in range(width - p)]
@@ -290,10 +278,9 @@ def _operator_rows(f: QuasiPoly, table: dict[int, list[int]], den: int) -> Quasi
 def apply_S(f: QuasiPoly, op: OperatorPoly) -> QuasiPoly:
     """Apply ``sum_k a_k S^(m k)`` to ``f``: result(t) = sum a_k f(t - m k).
 
-    Materialized at f's minimal period: slot r draws on the constituent at
-    slot (r - m k) mod n with its argument shifted by m k.
+    Computed at f's period n, which is minimal: slot r draws on the
+    constituent at slot (r - m k) mod n with its argument shifted by m k.
     """
-    f = minimal_period(f)
     terms, den = _operator_terms(op)
     return _operator_rows(f, _moment_table(terms, f.period, len(f.rows[0])), den)
 
@@ -319,14 +306,13 @@ def _apply_block_product(start: QuasiPoly, block: int, strides: list[int]) -> Qu
     """Apply prod_j (1/block) [block]_{S^{s_j}} to ``start`` in one kernel pass.
 
     The product shifts by sum_j s_j u_j, u_j < block independent, so its
-    moment table is the factors' tables convolved.  With n = start's minimal
-    period, factor j moves class a mod n' = n / gcd(s_j, n) of the power sums
-    of u < block to class s_j a mod n, times (-s_j)^e; sums are kept per n'.
+    moment table is the factors' tables convolved.  With n = start's period,
+    factor j moves class a mod n' = n / gcd(s_j, n) of the power sums of
+    u < block to class s_j a mod n, times (-s_j)^e; sums are kept per n'.
     """
     if block == 1:
         return start
-    f = minimal_period(start)
-    n, width = f.period, len(f.rows[0])
+    n, width = start.period, len(start.rows[0])
     sums, tables = {}, []
     for s in strides:
         k = n // math.gcd(s, n)
@@ -335,7 +321,7 @@ def _apply_block_product(start: QuasiPoly, block: int, strides: list[int]) -> Qu
         factor = {s * a % n: [v * (-s) ** e for e, v in enumerate(p)] for a, p in sums[k].items()}
         tables.append(factor)
     table = _convolve(tables, n, width)
-    return _operator_rows(f, table, block ** len(strides))
+    return _operator_rows(start, table, block ** len(strides))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ a, such as a characteristic polynomial about nh/2, a is the centroid of
 every part, so the eigenvalues come from polynomials whose roots sit on
 the imaginary axis, and their real parts carry only the rounding error of
 the centred coefficients.  The report carries the maximal deviation
-|Re z - a|.  ``find_roots`` takes the same route about the centroid of p,
-after stripping zero roots exactly.
+|Re z| of those centred eigenvalues, taken before the shift by a, whose
+own rounding would otherwise swamp it at large a.  ``find_roots`` takes
+the same route about the centroid of p, after stripping zero roots
+exactly.  Coefficients or an a beyond the float range raise ValueError.
 
 exact — all roots lie on Re z = a iff r(-s) = (-1)^deg r(s) AND the
 squarefree part q = q_1, of degree d, turns into a real polynomial
@@ -102,15 +104,21 @@ def _variations(signs: list[bool]) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def _eigenvalue_roots(parts: list[list[int]], a: Fraction) -> list[complex]:
-    """Roots of the parts, each the eigenvalues of a monic companion matrix,
-    shifted back by a."""
+def _float(x: Fraction) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("numeric roots need values within the float range, |x| < 1.8e308")
+
+
+def _eigenvalue_roots(parts: list[list[int]]) -> list[complex]:
+    """Roots of the parts, each the eigenvalues of a monic companion matrix."""
     import numpy as np
 
     return [
-        complex(z) + float(a)
+        complex(z)
         for q in parts
-        for z in np.roots([float(Fraction(c, q[-1])) for c in reversed(q)])
+        for z in np.roots([_float(Fraction(c, q[-1])) for c in reversed(q)])
     ]
 
 
@@ -125,7 +133,7 @@ def find_roots(p: RatPoly) -> list[complex]:
     if p.degree >= 1:
         a = -p.coeffs[-2] / (p.degree * p.leading)  # the centroid of the roots
         r = _primitive(shift_argument(p, a).coeffs)
-        roots += _eigenvalue_roots(_squarefree_parts(r), a)
+        roots += [z + _float(a) for z in _eigenvalue_roots(_squarefree_parts(r))]
     return sorted(roots, key=lambda w: (w.imag, w.real))
 
 
@@ -136,10 +144,9 @@ def verify_line(p: RatPoly, a: Fraction | int) -> RootReport:
     a = Fraction(a)
     r = _primitive(shift_argument(p, a).coeffs)  # r(s) = p(s + a)
     parts = _squarefree_parts(r)
-    roots = tuple(
-        sorted(_eigenvalue_roots(parts, a), key=lambda w: (w.imag, w.real))
-    )
-    max_dev = max(abs(z.real - float(a)) for z in roots)
+    centred = _eigenvalue_roots(parts)
+    roots = tuple(sorted((z + _float(a) for z in centred), key=lambda w: (w.imag, w.real)))
+    max_dev = max(abs(z.real) for z in centred)
 
     deg = len(r) - 1
     symmetry = all(c == 0 for k, c in enumerate(r) if (k - deg) % 2)

@@ -10,7 +10,7 @@ from the definitions, so the tests can compare the two.
 import math
 from fractions import Fraction
 
-from linial.quasipoly import QuasiPoly, minimal_period
+from linial.quasipoly import QuasiPoly
 from linial.ratpoly import RatPoly
 
 #: The variable ``t`` itself, for building polynomials expression-style.
@@ -60,7 +60,6 @@ def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
 def sigma_pow(f: QuasiPoly, k: int) -> QuasiPoly:
     """The cyclic slot rotation sigma = (1 ... n), k times, at the minimal
     period: new slot r holds old constituent (r - k) mod n."""
-    f = minimal_period(f)
     n, cs = f.period, f.constituents
     return QuasiPoly(n, (cs[(r - k) % n] for r in range(n)))
 
@@ -79,7 +78,6 @@ def _taylor_shift(row, s: int) -> list[int]:
 def _shifted_sums(f: QuasiPoly, op, source) -> QuasiPoly:
     """sum_k a_k (slot source(r, m k))(t - m k) at each slot r of f's minimal
     period n, each term a Taylor shift of one constituent's integer row."""
-    f = minimal_period(f)
     n, rows, cs = f.period, f.rows, op.coeffs.coeffs
     den = math.lcm(*(a.denominator for a in cs), 1)
     slots = []

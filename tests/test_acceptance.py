@@ -54,7 +54,6 @@ from linial.quasipoly import (
     QuasiPoly,
     apply_S,
     has_gcd_property,
-    minimal_period,
     tilde,
 )
 from linial.ratpoly import (
@@ -286,7 +285,7 @@ def test_criterion_6_main_theorem_suite():
             if gcd(n + 1, rho) == 1:
                 prime_cases += 1
                 f = char_quasi(info, n)
-                if minimal_period(f).period != 1:
+                if f.period != 1:
                     failures.append(("period", label, n))
                 p = gcd_prime_polynomial(info, n)
                 if p != char_poly(info, n):
@@ -346,7 +345,7 @@ def test_criterion_8_property_families():
     rng = random.Random(8001)
     for _ in range(220):
         f = _random_quasipoly(rng)
-        n = minimal_period(f).period
+        n = f.period
         k = rng.randint(1, 3 * n + 2)
         assert tilde(f, k) == tilde(f, gcd(k, n))
         assert tilde(f, k) == tilde(f, k + n)
@@ -355,7 +354,7 @@ def test_criterion_8_property_families():
     rng = random.Random(8002)
     for _ in range(220):
         f = _random_quasipoly(rng, max_period=5, max_deg=3)
-        n = minimal_period(f).period
+        n = f.period
         ell = int(f.degree) if f.degree != float("-inf") else 0
         m = rng.randint(1, 6)
         c = (n // gcd(m, n)) * rng.randint(1, 3)

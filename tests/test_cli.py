@@ -317,6 +317,22 @@ def test_roots_zero_tol_is_valid(capsys):
     assert code == (0 if doc["within_tol"] else 1)
 
 
+@pytest.mark.parametrize(
+    "cmd", [["roots", "E8"], ["table", "E8", "--n-list"]], ids=["roots", "table"]
+)
+def test_numeric_path_beyond_float_range_is_an_error(capsys, cmd):
+    code, out, err = run_cli(capsys, *cmd, str(10**40))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "float range" in err
+
+
+def test_verify_beyond_float_range_stays_exact(capsys):
+    code, out, _ = run_cli(capsys, "verify", "E8", str(10**40))
+    assert code == 0
+    assert all(json.loads(out)["checks"].values())
+
+
 def test_subprocess_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "linial.cli", "table", "A2", "--n-list", "1"],

@@ -15,7 +15,6 @@ from linial.quasipoly import (
     QuasiPoly,
     apply_S,
     has_gcd_property,
-    minimal_period,
     quasipoly_to_json,
     sorted_divisors,
     tilde,
@@ -60,25 +59,16 @@ def test_from_poly_and_degree():
     p = RatPoly((1, 2, 3))
     f = QuasiPoly.from_poly(p)
     assert f.period == 1 and f.degree == 2
-    assert QuasiPoly.zero(3).degree == float("-inf")
-
-
-def test_at_period_materializes():
-    f = qp([1], [2])
-    g = f.at_period(4)
-    assert g.period == 4
-    assert g.constituents == (f.constituents[0], f.constituents[1]) * 2
-    with pytest.raises(ValueError):
-        f.at_period(3)
+    assert QuasiPoly.zero().degree == float("-inf")
 
 
 def test_equality_normalizes_period():
     f = qp([3], [1])
     g = QuasiPoly(4, (f.constituents + f.constituents))
     assert f == g
-    assert minimal_period(g).period == 2
+    assert g.period == 2
     const = qp([7], [7], [7])
-    assert minimal_period(const).period == 1
+    assert const.period == 1
 
 
 def test_addition_aligns_periods():
@@ -175,7 +165,7 @@ def test_S_is_Sbar_when_the_period_divides_the_stride():
     rng = random.Random(115)
     for _ in range(60):
         f = random_quasipoly(rng)
-        m = minimal_period(f).period * rng.randint(1, 3)
+        m = f.period * rng.randint(1, 3)
         coeffs = RatPoly(
             Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))
         )
@@ -225,7 +215,7 @@ def test_difference_operator_kills_polynomials():
         p = RatPoly(tuple(Fraction(rng.randint(-9, 9)) for _ in range(deg)) + (Fraction(1),))
         f = QuasiPoly.from_poly(p)
         op = operator_product(*[(RatPoly((1, -1)), 1)] * (int(p.degree) + 1))
-        assert apply_S(f, op) == QuasiPoly.zero(1)
+        assert apply_S(f, op) == QuasiPoly.zero()
 
 
 def test_annihilation_iff_difference_power_divides():
@@ -242,7 +232,7 @@ def test_annihilation_iff_difference_power_divides():
             g = g * one_minus_t ** (ell + 1)
         if g.is_zero:
             continue
-        killed = apply_S(f, OperatorPoly(g, 1)) == QuasiPoly.zero(1)
+        killed = apply_S(f, OperatorPoly(g, 1)) == QuasiPoly.zero()
         ok, _ = divides(one_minus_t ** (ell + 1), g)
         assert killed == ok
 
@@ -260,18 +250,17 @@ def test_tilde_gcd_and_shift_invariance():
     rng = random.Random(107)
     for _ in range(60):
         f = random_quasipoly(rng)
-        n = minimal_period(f).period
+        n = f.period
         k = rng.randint(1, 2 * n + 3)
         assert tilde(f, k) == tilde(f, gcd(k, n))
         assert tilde(f, k) == tilde(f, k + n)
-        assert minimal_period(tilde(f, k)).period in [
+        assert tilde(f, k).period in [
             d for d in range(1, n + 1) if gcd(k, n) % d == 0
         ]
 
 
 def orbit_average(f, k):
     """tilde by its definition: n^2 slot additions over the sigma^k orbit."""
-    f = minimal_period(f)
     n = f.period
     cs = f.constituents
     inv = Fraction(1, n)
@@ -281,7 +270,7 @@ def orbit_average(f, k):
         for i in range(n):
             acc = acc + cs[(r - i * k) % n]
         slots.append(acc.scale(inv))
-    return minimal_period(QuasiPoly(n, tuple(slots)))
+    return QuasiPoly(n, tuple(slots))
 
 
 def assert_same_quasipoly(a, b):
@@ -293,7 +282,7 @@ def test_tilde_matches_orbit_average_random():
     rng = random.Random(111)
     for _ in range(80):
         f = random_quasipoly(rng)
-        n = minimal_period(f).period
+        n = f.period
         for k in (0, 1, rng.randint(-2 * n, -1), rng.randint(2, 2 * n + 3), n, n + 1):
             assert_same_quasipoly(tilde(f, k), orbit_average(f, k))
 
@@ -311,7 +300,7 @@ def test_tilde_full_period_is_identity():
     rng = random.Random(108)
     for _ in range(20):
         f = random_quasipoly(rng)
-        n = minimal_period(f).period
+        n = f.period
         assert tilde(f, n) == f
 
 
@@ -333,7 +322,7 @@ def test_averaging_transfer():
     done = 0
     while done < 40:
         f = random_quasipoly(rng, max_period=5, max_deg=3)
-        n = minimal_period(f).period
+        n = f.period
         ell = int(f.degree) if f.degree != float("-inf") else 0
         m = rng.randint(1, 6)
         c = (n // gcd(m, n)) * rng.randint(1, 3)
@@ -363,10 +352,12 @@ def assert_canonical(f):
     assert width == 0 or any(row[-1] for row in f.rows)
     if width == 0:
         assert f.den == 1
+    # the period is minimal: no proper divisor repeats the rows
+    n = f.period
+    assert not any(f.rows[d:] == f.rows[: n - d] for d in sorted_divisors(n)[:-1])
 
 
 def assert_same_form(a, b):
-    a, b = minimal_period(a), minimal_period(b)
     assert (a.period, a.den, a.rows) == (b.period, b.den, b.rows)
     assert a == b and hash(a) == hash(b)
 
@@ -376,7 +367,8 @@ def test_canonical_form_invariants():
     for _ in range(60):
         f = random_quasipoly(rng).scale(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
         g = random_quasipoly(rng)
-        for h in (f, g, f + g, f - g, f - f, tilde(f, rng.randint(0, 6))):
+        # (f + g) - g is f, built at the lcm of the two periods
+        for h in (f, g, f + g, f - g, f - f, (f + g) - g, tilde(f, rng.randint(0, 6))):
             assert_canonical(h)
         op = OperatorPoly(RatPoly((Fraction(1, 3), Fraction(-2, 5))), rng.randint(1, 3))
         assert_canonical(apply_S(f, op))
@@ -396,21 +388,21 @@ def test_canonical_form_same_function_same_form():
     assert padded.rows == ((3, 2), (1, 0)) and padded.den == 6
     # the same slots at a multiple of the period
     doubled = QuasiPoly(4, f.constituents * 2)
-    assert doubled.period == 4
+    assert doubled.period == 2
     assert_same_form(doubled, f)
-    assert_same_form(f.at_period(6), f)
+    assert_same_form(QuasiPoly(6, f.constituents * 3), f)
 
 
 def test_canonical_form_zero_and_negative_scales():
+    z = QuasiPoly.zero()
+    assert (z.period, z.den, z.rows) == (1, 1, ((),))
+    assert z.degree == float("-inf") and z.eval(3) == 0
+    assert z.constituents == (RatPoly.zero(),)
     for k in (1, 2, 5):
-        z = QuasiPoly.zero(k)
-        assert (z.period, z.den, z.rows) == (k, 1, ((),) * k)
-        assert z.degree == float("-inf") and z.eval(3) == 0
-        assert_same_form(z, QuasiPoly.zero(1))
-        assert z.constituents == (RatPoly.zero(),) * k
+        assert_same_form(QuasiPoly(k, (RatPoly.zero(),) * k), z)
     f = qp([Fraction(-3, 4), 2], [Fraction(1, 6)])
-    assert_same_form(f - f, QuasiPoly.zero(1))
-    assert_same_form(f.scale(0), QuasiPoly.zero(1))
+    assert_same_form(f - f, QuasiPoly.zero())
+    assert_same_form(f.scale(0), QuasiPoly.zero())
     for c in (-1, -3, Fraction(-2, 5)):
         g = f.scale(c)
         assert_canonical(g)

@@ -149,6 +149,23 @@ def test_table_rows_on_the_line(label, n, target):
     assert rep.symmetry_exact and rep.sturm_exact and rep.squarefree
 
 
+def test_max_deviation_measured_before_the_shift():
+    # at E8 n = 10^5 the line sits at 1.5e6, where adding it back rounds
+    # every reported real part onto it; the centred eigenvalues still
+    # deviate by ~1e-10
+    rep = verify_line(char_poly(catalog("E8"), 10**5), 15 * 10**5)
+    assert 0 < rep.max_deviation < 1e-9
+
+
+def test_beyond_float_range_is_a_value_error():
+    # the centred coefficients of E8 at n = 10^40 reach ~10^330
+    p = char_poly(catalog("E8"), 10**40)
+    with pytest.raises(ValueError, match="float range"):
+        verify_line(p, 15 * 10**40)
+    with pytest.raises(ValueError, match="float range"):
+        find_roots(p)
+
+
 # ---------------------------------------------------------------------------
 # Reference: the rational-arithmetic certificate that verify_line's integer
 # Sturm chains replaced, kept to check that the verdicts do not change.
