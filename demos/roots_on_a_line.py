@@ -6,9 +6,9 @@ vertical line Re z = n*h/2 — a functional-equation fact, not a numerical
 accident.  This script makes that visible: it prints the roots for a few
 cases, then shows the two halves of the verification,
 
-  (a) numeric: find the roots (companion-matrix eigenvalues of the
-      polynomial shifted exactly onto the centroid of its roots) and
-      measure the worst horizontal deviation, and
+  (a) numeric: find the roots (Aberth iteration on the polynomial
+      shifted exactly onto the centroid of its roots) and measure the
+      worst horizontal deviation, and
   (b) exact: substitute z = s + n*h/2, check the odd part vanishes, and
       count real roots of the symmetric part with a Sturm chain.
 

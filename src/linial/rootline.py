@@ -7,16 +7,16 @@ Its last entry is gcd(r, r') up to a constant, so chains split r by exact
 division into squarefree parts q_1 = r / gcd(r, r'), then the same for
 the gcd, and so on.
 
-numeric — all roots as companion-matrix eigenvalues (``numpy.roots``) of
-the squarefree parts, shifted back by a.  For a polynomial symmetric about
-a, such as a characteristic polynomial about nh/2, a is the centroid of
-every part, so the eigenvalues come from polynomials whose roots sit on
-the imaginary axis, and their real parts carry only the rounding error of
-the centred coefficients.  The report carries the maximal deviation
-|Re z| of those centred eigenvalues, taken before the shift by a, whose
-own rounding would otherwise swamp it at large a.  ``find_roots`` takes
-the same route about the centroid of p, after stripping zero roots
-exactly.  Coefficients or an a beyond the float range raise ValueError.
+numeric — all roots of the squarefree parts by Aberth-Ehrlich iteration
+in pure Python, shifted back by a.  For a polynomial symmetric about a,
+such as a characteristic polynomial about nh/2, a is the centroid of every
+part, so the iteration runs on polynomials whose roots sit on the
+imaginary axis, and their real parts carry only the rounding error of the
+centred coefficients.  The report carries the maximal deviation |Re z| of
+those centred roots, taken before the shift by a, whose own rounding
+would otherwise swamp it at large a.  ``find_roots`` takes the same route
+about the centroid of p, after stripping zero roots exactly.  Coefficients,
+roots or an a beyond the float range raise ValueError.
 
 exact — all roots lie on Re z = a iff r(-s) = (-1)^deg r(s) AND the
 squarefree part q = q_1, of degree d, turns into a real polynomial
@@ -104,22 +104,78 @@ def _variations(signs: list[bool]) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
+_FLOAT_RANGE = "numeric roots need values within the float range, |x| < 1.8e308"
+_MAX_SWEEPS = 50  # the catalogued parts need at most 11
+_TOL = 2.0**-50
+
+
 def _float(x: Fraction) -> float:
     try:
         return float(x)
     except OverflowError:
-        raise ValueError("numeric roots need values within the float range, |x| < 1.8e308")
+        raise ValueError(_FLOAT_RANGE)
 
 
-def _eigenvalue_roots(parts: list[list[int]]) -> list[complex]:
-    """Roots of the parts, each the eigenvalues of a monic companion matrix."""
-    import numpy as np
+def _aberth_roots(parts: list[list[int]]) -> list[complex]:
+    """Roots of the parts by Aberth-Ehrlich iteration (Aberth 1973).
 
-    return [
-        complex(z)
-        for q in parts
-        for z in np.roots([_float(Fraction(c, q[-1])) for c in reversed(q)])
-    ]
+    A zero root is split off exactly.  The rest of a part q of degree d
+    becomes monic floats c_k = q_k / q_d, scaled to y = z / R with
+    R = max_k |c_k|^(1/(d-k)) by repeated division, so that each scaled
+    coefficient has modulus at most 1 (a tiny one underflows instead of
+    overflowing) and each root has |y| <= 2.  The d iterates start on the
+    unit circle at fixed angles, and each stops once its Newton-Aberth step
+    is at most 2^-50 of its modulus, or once the scaled part's value there
+    is within d 2^-50 of the Horner rounding bound sum_k |b_k| |y|^k,
+    below which the step is rounding noise.  Raises ArithmeticError if an
+    iterate has not stopped within _MAX_SWEEPS sweeps.
+    """
+    roots = []
+    for q in parts:
+        if q[0] == 0:  # a squarefree part has at most one zero root
+            roots.append(0j)
+            q = q[1:]
+        d = len(q) - 1
+        if d == 0:
+            continue
+        c = [_float(Fraction(x, q[-1])) for x in q[:-1]]
+        radius = max(abs(x) ** (1 / (d - k)) for k, x in enumerate(c))
+        b = []
+        for k, x in enumerate(c):
+            for _ in range(d - k):
+                x /= radius
+            b.append(x)
+        # the offset keeps the starts off both axes, where centred roots lie
+        angles = [2 * math.pi * j / d + 0.4 for j in range(d)]
+        ys = [complex(math.cos(t), math.sin(t)) for t in angles]
+        moving = set(range(d))
+        for _ in range(_MAX_SWEEPS):
+            for j in sorted(moving):
+                y, size = ys[j], abs(ys[j])
+                p, dp, bound = 1.0, 0.0, 1.0
+                for x in reversed(b):
+                    dp = dp * y + p
+                    p = p * y + x
+                    bound = bound * size + abs(x)
+                repel = sum(1 / (y - z) for k, z in enumerate(ys) if k != j)
+                step = p / (dp - p * repel)
+                ys[j] = y - step
+                if abs(step) <= _TOL * size or abs(p) <= _TOL * d * bound:
+                    moving.discard(j)
+            if not moving:
+                break
+        else:
+            raise ArithmeticError(f"Aberth iteration did not converge in {_MAX_SWEEPS} sweeps")
+        roots += [radius * y for y in ys]
+    return roots
+
+
+def _shifted(roots: list[complex], a: Fraction) -> list[complex]:
+    """The roots plus a; ValueError if one of them is not finite."""
+    roots = [z + _float(a) for z in roots]
+    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in roots):
+        raise ValueError(_FLOAT_RANGE)
+    return roots
 
 
 def find_roots(p: RatPoly) -> list[complex]:
@@ -133,7 +189,7 @@ def find_roots(p: RatPoly) -> list[complex]:
     if p.degree >= 1:
         a = -p.coeffs[-2] / (p.degree * p.leading)  # the centroid of the roots
         r = _primitive(shift_argument(p, a).coeffs)
-        roots += [z + _float(a) for z in _eigenvalue_roots(_squarefree_parts(r))]
+        roots += _shifted(_aberth_roots(_squarefree_parts(r)), a)
     return sorted(roots, key=lambda w: (w.imag, w.real))
 
 
@@ -144,8 +200,8 @@ def verify_line(p: RatPoly, a: Fraction | int) -> RootReport:
     a = Fraction(a)
     r = _primitive(shift_argument(p, a).coeffs)  # r(s) = p(s + a)
     parts = _squarefree_parts(r)
-    centred = _eigenvalue_roots(parts)
-    roots = tuple(sorted((z + _float(a) for z in centred), key=lambda w: (w.imag, w.real)))
+    centred = _aberth_roots(parts)
+    roots = tuple(sorted(_shifted(centred, a), key=lambda w: (w.imag, w.real)))
     max_dev = max(abs(z.real) for z in centred)
 
     deg = len(r) - 1

@@ -256,15 +256,16 @@ def test_ehrhart_q_max_cap_is_inclusive(capsys, monkeypatch):
 
 
 def test_formula_commands_do_not_import_numpy():
-    # numpy is only for the oracle and the root finder
+    # numpy is only for the mod-q oracle
     script = (
         "import contextlib, io, sys, linial\n"
         "from linial.cli import main\n"
         "assert 'numpy' not in sys.modules\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['ehrhart', 'G2']), main(['decompose', 'F4']),\n"
-        "             main(['verify', 'B3', '2', '--mode', 'formula'])]\n"
-        "assert codes == [0, 0, 0], codes\n"
+        "             main(['verify', 'B3', '2', '--mode', 'formula']),\n"
+        "             main(['table', 'E8', '--n-list', '1,2']), main(['roots', 'E6', '1'])]\n"
+        "assert codes == [0, 0, 0, 0, 0], codes\n"
         "assert 'numpy' not in sys.modules\n"
     )
     proc = subprocess.run(
@@ -293,8 +294,8 @@ def test_roots_json(capsys):
 
 
 def test_roots_strict_tolerance_still_passes(capsys):
-    # eigenvalues of the exactly centred polynomial: here about 2e-15 off
-    # the line, well inside the strict tolerance
+    # roots of the exactly centred polynomial: here about 1e-30 off the
+    # line, well inside the strict tolerance
     code, out, _ = run_cli(capsys, "roots", "F4", "2", "--tol", "1e-13")
     assert code == 0
 

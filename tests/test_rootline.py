@@ -1,5 +1,6 @@
 """Numeric root finding and the exact vertical-line certificate."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from linial.ratpoly import RatPoly, derivative, shift_argument
-from linial.rootline import find_roots, verify_line
+from linial import rootline
+from linial.rootline import _aberth_roots, _primitive, _squarefree_parts, find_roots, verify_line
 from linial.rootsystems import catalog
 from linial.arrangements import char_poly
 
@@ -151,8 +153,8 @@ def test_table_rows_on_the_line(label, n, target):
 
 def test_max_deviation_measured_before_the_shift():
     # at E8 n = 10^5 the line sits at 1.5e6, where adding it back rounds
-    # every reported real part onto it; the centred eigenvalues still
-    # deviate by ~1e-10
+    # every reported real part onto it; the centred roots still deviate
+    # by ~4e-27
     rep = verify_line(char_poly(catalog("E8"), 10**5), 15 * 10**5)
     assert 0 < rep.max_deviation < 1e-9
 
@@ -164,6 +166,49 @@ def test_beyond_float_range_is_a_value_error():
         verify_line(p, 15 * 10**40)
     with pytest.raises(ValueError, match="float range"):
         find_roots(p)
+
+
+def test_roots_beyond_float_range_are_a_value_error():
+    # r(s) = p(s + a) = s - 10^308 has float coefficients, but the root of
+    # p, 2.5e308, does not fit
+    p = RatPoly((-25 * 10**307, 1))
+    with pytest.raises(ValueError, match="float range"):
+        verify_line(p, 15 * 10**307)
+
+
+def test_large_n_stays_finite():
+    # the centred coefficients of E8 at n = 10^37 reach ~10^300: unscaled
+    # Horner steps would overflow to nan
+    rep = verify_line(char_poly(catalog("E8"), 10**37), 15 * 10**37)
+    assert all(cmath.isfinite(z) for z in rep.roots)
+    assert math.isfinite(rep.max_deviation)
+    assert rep.symmetry_exact and rep.sturm_exact
+
+
+def test_unconverged_roots_are_an_error(monkeypatch):
+    monkeypatch.setattr(rootline, "_MAX_SWEEPS", 1)
+    p = char_poly(catalog("E6"), 1)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        verify_line(p, 6)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        find_roots(p)
+
+
+def _assert_match_numpy(r: list[int]):
+    """The roots of each squarefree part of r against the reference, the
+    companion-matrix eigenvalues of ``numpy.roots``."""
+    for q in _squarefree_parts(r):
+        want = [complex(z) for z in np.roots([float(Fraction(c, q[-1])) for c in reversed(q)])]
+        tol = 1e-12 * max(abs(w) for w in want)
+        _assert_close_multisets(_aberth_roots([q]), want, tol)
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_roots_match_numpy_on_centred_parts(label):
+    info = catalog(label)
+    for n in [*range(1, 2 * info.period_rho + 2), 10**5]:
+        a = Fraction(n * info.coxeter_h, 2)
+        _assert_match_numpy(_primitive(shift_argument(char_poly(info, n), a).coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -328,3 +373,10 @@ def test_verdicts_match_reference_on_random_products():
         _assert_close_multisets(find_roots(p), roots, 1e-6)
         _assert_close_multisets(rep.roots, roots, 1e-6)
     assert 100 <= certified <= 400  # both verdicts are well represented
+
+
+def test_roots_match_numpy_on_random_products():
+    rng = random.Random(20200601)
+    for _ in range(500):
+        p, a, _ = _random_case(rng)
+        _assert_match_numpy(_primitive(shift_argument(p, a).coeffs))
