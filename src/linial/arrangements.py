@@ -7,8 +7,8 @@ The central objects:
 
 * ``char_quasi(info, n)``       — the characteristic quasi-polynomial,
                                   R_Phi(S^(n+1)) applied to L_Phi, computed
-                                  from its generating series
-                                  R_Phi(x^(n+1)) / prod (1 - x^{c_i});
+                                  piece by piece over the decomposition of
+                                  L_Phi by cyclotomic order;
 * ``char_poly(info, n)``        — its constituent at residue 1 (the
                                   characteristic polynomial proper), as
                                   R_Phi(Sbar^(n+1)) on one slot of tilde(L, g),
@@ -32,13 +32,12 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .ehrhart import PeriodConsistencyError, _series_quasi, ehrhart_quasi
+from .ehrhart import PeriodConsistencyError, _ehrhart_pieces, ehrhart_quasi
 from .eulerian import generalized_eulerian
 from .quasipoly import (
     OperatorPoly,
     QuasiPoly,
     _apply_block_product,
-    _operator_terms,
     _raw,
     apply_S,
     tilde,
@@ -61,13 +60,16 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def char_quasi(info: RootSystemInfo, n: int) -> QuasiPoly:
-    """chi_quasi of the [1, n] arrangement, sum_k a_k L_Phi(t - (n+1)k) for
-    R_Phi = sum_k a_k t^k: the quasi-polynomial of the generating series
-    R_Phi(x^(n+1)) / prod_{i=0..l} (1 - x^{c_i})."""
+    """chi_quasi of the [1, n] arrangement, R_Phi(S^(n+1)) applied to L_Phi,
+    through the decomposition of L_Phi: the sum over every piece P_d of
+    ``decompose_ehrhart`` of R_Phi(S^(n+1)) P_d.  A piece has period d and a
+    low degree, so each image costs a small kernel pass.  The main theorem
+    annihilates every piece with d not dividing n+1; none is skipped here,
+    so that ``verify_main_theorem`` checks it."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    terms, den = _operator_terms(OperatorPoly(generalized_eulerian(info), stride=n + 1))
-    return _series_quasi(dict(terms), den, [(c, 1) for c in info.marks])
+    op = OperatorPoly(generalized_eulerian(info), stride=n + 1)
+    return sum((apply_S(piece, op) for _, piece in _ehrhart_pieces(info)), QuasiPoly.zero())
 
 
 @lru_cache(maxsize=None)
@@ -160,7 +162,12 @@ def oracle_count(info: RootSystemInfo, a: int, b: int, q: int) -> int:
 def verify_main_theorem(info: RootSystemInfo, n: int) -> bool:
     """chi_quasi == R_Phi(Sbar^(n+1)) applied to the tilde-average of L at
     g = gcd(n+1, rho), and the minimal period divides g.  That average has a
-    period dividing g, hence n+1, so Sbar^(n+1) = S^(n+1) on it."""
+    period dividing g, hence n+1, so Sbar^(n+1) = S^(n+1) on it.
+
+    The average keeps exactly the pieces of L whose order d divides g, i.e.
+    n+1, while ``char_quasi`` sums the images of every piece, and S maps
+    each piece's order class to itself.  So the check says that
+    R_Phi(S^(n+1)) annihilates every piece of order d not dividing n+1."""
     g = math.gcd(n + 1, info.period_rho)
     lhs = char_quasi(info, n)
     averaged = tilde(ehrhart_quasi(info), g)

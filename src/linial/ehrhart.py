@@ -4,18 +4,17 @@ machinery that turns rational series into quasi-polynomials.
 ``L(q)`` counts x in Z^l (all coordinates >= 0) with c_1 x_1 + ... + c_l x_l
 <= q, where the c_i are the marks; its generating series is
 1 / prod_{i=0..l} (1 - x^{c_i}) (the extra c_0 = 1 factor accumulates the
-inequality).  One routine turns such a series, over any sparse numerator,
-into its quasi-polynomial: the numerator is reduced mod (1 - x^p)^M, p the
-period and M the number of factors, so the series it expands stays shorter
-than p (2M + 1) whatever the numerator's degree; then all p residue classes
-are Newton-interpolated together, lane-wise, on integers over one common
+inequality).  One routine turns such a series, over a proper numerator,
+into its quasi-polynomial: all p residue classes, p the period, are
+Newton-interpolated together, lane-wise, on integers over one common
 denominator, with a spare node per class as a consistency check.
 
 L splits into one piece per cyclotomic order d dividing a mark: the part
 of L whose terms zeta^t P(t) have zeta a primitive d-th root of unity.  It
 is an integer projection of L's slots: slot r of the piece is
 (1/d) sum_{a < d} c_d(r - a) tilde(L, d)[a], with c_d(k) the Ramanujan sum
-over the primitive d-th roots of unity.
+over the primitive d-th roots of unity.  The pieces are what
+``arrangements.char_quasi`` applies R_Phi(S^(n+1)) to, one at a time.
 """
 
 from __future__ import annotations
@@ -92,47 +91,26 @@ def series_to_quasipoly(
 ) -> QuasiPoly:
     """Quasi-polynomial whose generating series is
     numerator / prod_d (1 - x^d)^mult, given as (d, mult) pairs, for a proper
-    numerator: its coefficients over their common denominator go through the
-    lane-wise integer interpolation of ``_series_quasi``."""
+    numerator, so that the series is quasi-polynomial from t = 0 on.
+
+    With p = lcm(d) and M = sum(mult), lane r, residue r, is the Newton
+    interpolant through r + m p, m < M, in integers over the numerator's
+    common denominator times (M-1)! p^(M-1); it meets the spare node m = M
+    iff the M-th difference is zero.  The p lanes go through each step
+    together, as lists."""
     if not denominator_spec or numerator.degree >= sum(d * m for d, m in denominator_spec):
         raise ValueError("improper rational function")
-    nden = math.lcm(*(c.denominator for c in numerator.coeffs), 1)
-    terms = {i: c.numerator * (nden // c.denominator) for i, c in enumerate(numerator.coeffs)}
-    return _series_quasi(terms, nden, denominator_spec)
-
-
-def _series_quasi(terms: dict[int, int], den: int, denominator_spec) -> QuasiPoly:
-    """The eventual quasi-polynomial of (sum_e terms[e] x^e) / den over
-    prod_d (1 - x^d)^mult, for any sparse integer numerator.
-
-    With p = lcm(d) and M = sum(mult), the denominator divides (1 - y)^M,
-    y = x^p, so the numerator is reduced mod (1 - y)^M, which changes the
-    series by a polynomial only: y^Q becomes (1 + (y - 1))^Q below (y - 1)^M.
-    The reduced series is quasi-polynomial from t0 = max(0, deg - sum(d mult)
-    + 1) on.  Lane i, residue t0 + i, is the Newton interpolant through
-    t0 + i + m p, m < M, in integers over den (M-1)! p^(M-1); it meets the
-    spare node m = M iff the M-th difference is zero.  The p lanes go
-    through each step together, as lists."""
     p = math.lcm(*(d for d, _ in denominator_spec))
     big_m = sum(mult for _, mult in denominator_spec)
-    num: dict[int, int] = {}
-    for e, a in terms.items():
-        q, r = divmod(e, p)
-        if q < big_m:
-            num[e] = num.get(e, 0) + a
-            continue
-        for j in range(big_m):
-            c = a * math.comb(q, j) * math.comb(q - j - 1, big_m - 1 - j)
-            num[r + p * j] = num.get(r + p * j, 0) + (-c if (big_m - 1 - j) % 2 else c)
-    deg = max((e for e, a in num.items() if a), default=0)
-    t0 = max(0, deg - sum(d * mult for d, mult in denominator_spec) + 1)
-    series = [num.get(e, 0) for e in range(t0 + p * (big_m + 1))]
+    den = math.lcm(*(c.denominator for c in numerator.coeffs), 1)
+    series = [c.numerator * (den // c.denominator) for c in numerator.coeffs]
+    series += [0] * (p * (big_m + 1) - len(series))
     for d, mult in denominator_spec:
         for _ in range(mult):
             for r in range(d):
                 series[r::d] = accumulate(series[r::d])
     scale = math.factorial(big_m - 1) * p ** (big_m - 1)
-    nodes = [range(t0 + m * p, t0 + (m + 1) * p) for m in range(big_m + 1)]
+    nodes = [range(m * p, (m + 1) * p) for m in range(big_m + 1)]
     vals = [series[m.start : m.stop] for m in nodes]
     newton = []  # lane-wise scale * (m-th forward difference) / (m! p^m)
     for m in range(big_m):
@@ -141,19 +119,19 @@ def _series_quasi(terms: dict[int, int], den: int, denominator_spec) -> QuasiPol
         vals = [list(map(sub, v, u)) for u, v in zip(vals, vals[1:])]
     for i, v in enumerate(vals[0]):
         if v:
-            raise PeriodConsistencyError(f"residue {(t0 + i) % p} misses node {nodes[-1][i]}")
+            raise PeriodConsistencyError(f"residue {i} misses node {nodes[-1][i]}")
     zero = [0] * p
     row = []  # nested form: newton[m] + (t - node_m) * (the terms above m), lane-wise
     for m in range(big_m - 1, -1, -1):
         row = [list(map(sub, u, map(mul, nodes[m], v))) for u, v in zip([zero] + row, row + [zero])]
         row[0] = list(map(add, row[0], newton[m]))
-    lanes = list(zip(*row))
-    return _make(p, den * scale, [lanes[(r - t0) % p] for r in range(p)])
+    return _make(p, den * scale, list(zip(*row)))
 
 
 # -- decomposition by cyclotomic order ----------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _ramanujan(d: int, k: int) -> int:
     """c_d(k), the sum of zeta^k over the primitive d-th roots of unity,
     from the recursion sum_{e | d} c_e(k) = d [d | k]."""
@@ -171,17 +149,23 @@ def decompose_ehrhart(info: RootSystemInfo) -> list[tuple[int, QuasiPoly]]:
     Each such d divides rho, and with T = tilde(L, d), the average of L's
     slots over each class a mod d, slot r of the piece is
     (1/d) sum_{a < d} c_d(r - a) T[a], c_d the Ramanujan sum."""
+    return list(_ehrhart_pieces(info))
+
+
+@lru_cache(maxsize=None)
+def _ehrhart_pieces(info: RootSystemInfo) -> tuple[tuple[int, QuasiPoly], ...]:
+    """The (d, piece) pairs of ``decompose_ehrhart``, cached per type."""
     L = ehrhart_quasi(info)
     parts = []
     for d in sorted({e for c in info.marks for e in sorted_divisors(c)}):
         t = tilde(L, d)
         cols = list(zip(*(t.rows[a % t.period] for a in range(d))))
+        cd = [_ramanujan(d, k) for k in range(d)]
         rows = [
-            [sum(_ramanujan(d, r - a) * v for a, v in enumerate(col)) for col in cols]
-            for r in range(d)
+            [sum(cd[(r - a) % d] * v for a, v in enumerate(col)) for col in cols] for r in range(d)
         ]
         parts.append((d, _make(d, t.den * d, rows)))
-    return parts
+    return tuple(parts)
 
 
 def cross_type_relation_check(

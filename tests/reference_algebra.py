@@ -1,16 +1,24 @@
 """Test-side reference algebra, kept out of the package: exact division and
-gcd over Q[t], the cyclic slot rotation sigma, and the shift operators S and
-S-bar by their definitions, through literal Taylor shifts of the constituents.
+gcd over Q[t], the cyclic slot rotation sigma, the shift operators S and
+S-bar by their definitions, through literal Taylor shifts of the
+constituents, and the generating-series route to a quasi-polynomial for any
+sparse numerator, proper or not.
 
 The package applies every shift operator through one moment kernel
 (``quasipoly.apply_S``); these references compute the same things straight
-from the definitions, so the tests can compare the two.
+from the definitions, so the tests can compare the two.  The series route
+is an independent reference for ``arrangements.char_quasi``: R_Phi(S^(n+1))
+L_Phi is the quasi-polynomial of R_Phi(x^(n+1)) / prod (1 - x^{c_i}).
 """
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import add, mul, sub
 
-from linial.quasipoly import QuasiPoly
+from linial.ehrhart import PeriodConsistencyError
+from linial.eulerian import generalized_eulerian
+from linial.quasipoly import QuasiPoly, _make
 from linial.ratpoly import RatPoly
 
 #: The variable ``t`` itself, for building polynomials expression-style.
@@ -103,3 +111,63 @@ def shift_Sbar(f: QuasiPoly, op) -> QuasiPoly:
     """``sum_k a_k Sbar^(m k)``, which shifts each slot's argument without
     rotating slots: slot r is sum_k a_k (slot r)(t - m k)."""
     return _shifted_sums(f, op, lambda r, s: r)
+
+
+def series_quasi(terms: dict[int, int], den: int, denominator_spec) -> QuasiPoly:
+    """The eventual quasi-polynomial of (sum_e terms[e] x^e) / den over
+    prod_d (1 - x^d)^mult, for any sparse integer numerator.
+
+    With p = lcm(d) and M = sum(mult), the denominator divides (1 - y)^M,
+    y = x^p, so the numerator is reduced mod (1 - y)^M, which changes the
+    series by a polynomial only: y^Q becomes (1 + (y - 1))^Q below (y - 1)^M.
+    The reduced series is quasi-polynomial from t0 = max(0, deg - sum(d mult)
+    + 1) on.  Lane i, residue t0 + i, is the Newton interpolant through
+    t0 + i + m p, m < M, in integers over den (M-1)! p^(M-1); it meets the
+    spare node m = M iff the M-th difference is zero.  The p lanes go
+    through each step together, as lists."""
+    p = math.lcm(*(d for d, _ in denominator_spec))
+    big_m = sum(mult for _, mult in denominator_spec)
+    num: dict[int, int] = {}
+    for e, a in terms.items():
+        q, r = divmod(e, p)
+        if q < big_m:
+            num[e] = num.get(e, 0) + a
+            continue
+        for j in range(big_m):
+            c = a * math.comb(q, j) * math.comb(q - j - 1, big_m - 1 - j)
+            num[r + p * j] = num.get(r + p * j, 0) + (-c if (big_m - 1 - j) % 2 else c)
+    deg = max((e for e, a in num.items() if a), default=0)
+    t0 = max(0, deg - sum(d * mult for d, mult in denominator_spec) + 1)
+    series = [num.get(e, 0) for e in range(t0 + p * (big_m + 1))]
+    for d, mult in denominator_spec:
+        for _ in range(mult):
+            for r in range(d):
+                series[r::d] = accumulate(series[r::d])
+    scale = math.factorial(big_m - 1) * p ** (big_m - 1)
+    nodes = [range(t0 + m * p, t0 + (m + 1) * p) for m in range(big_m + 1)]
+    vals = [series[m.start : m.stop] for m in nodes]
+    newton = []  # lane-wise scale * (m-th forward difference) / (m! p^m)
+    for m in range(big_m):
+        w = scale // (math.factorial(m) * p**m)
+        newton.append([v * w for v in vals[0]])
+        vals = [list(map(sub, v, u)) for u, v in zip(vals, vals[1:])]
+    for i, v in enumerate(vals[0]):
+        if v:
+            raise PeriodConsistencyError(f"residue {(t0 + i) % p} misses node {nodes[-1][i]}")
+    zero = [0] * p
+    row = []  # nested form: newton[m] + (t - node_m) * (the terms above m), lane-wise
+    for m in range(big_m - 1, -1, -1):
+        row = [list(map(sub, u, map(mul, nodes[m], v))) for u, v in zip([zero] + row, row + [zero])]
+        row[0] = list(map(add, row[0], newton[m]))
+    lanes = list(zip(*row))
+    return _make(p, den * scale, [lanes[(r - t0) % p] for r in range(p)])
+
+
+def series_char_quasi(info, n: int) -> QuasiPoly:
+    """R_Phi(S^(n+1)) L_Phi as the quasi-polynomial of the generating series
+    R_Phi(x^(n+1)) / prod_{i=0..l} (1 - x^{c_i}), whose numerator
+    ``series_quasi`` reduces, so the series stays short at any n."""
+    cs = generalized_eulerian(info).coeffs
+    den = math.lcm(*(c.denominator for c in cs), 1)
+    terms = {(n + 1) * k: c.numerator * (den // c.denominator) for k, c in enumerate(cs)}
+    return series_quasi(terms, den, [(c, 1) for c in info.marks])

@@ -24,12 +24,12 @@ from linial.arrangements import (
     verify_rad_theorem,
     verify_shift_relation,
 )
-from linial.ehrhart import ehrhart_quasi
-from linial.ehrhart import PeriodConsistencyError
+from linial.ehrhart import PeriodConsistencyError, decompose_ehrhart, ehrhart_quasi
 from linial.eulerian import generalized_eulerian
 from linial.quasipoly import OperatorPoly, QuasiPoly, apply_S
 from linial.ratpoly import RatPoly, cyclotomic_type, render_poly
 from linial.rootsystems import catalog, positive_roots
+from reference_algebra import series_char_quasi
 
 _CHUNK = 1 << 21
 
@@ -88,19 +88,37 @@ def _same_form(f, g):
 
 
 def test_char_quasi_series_matches_operator_application():
-    # the generating-series path against the operator kernel it replaced,
-    # R_Phi(S^(n+1)) applied to L_Phi, in canonical (period, den, rows) form
+    # the piecewise path against R_Phi(S^(n+1)) applied to all of L_Phi at
+    # once and against the generating series R_Phi(x^(n+1)) / prod (1 - x^c),
+    # in canonical (period, den, rows) form
     for label in ALL_TYPES:
         info = catalog(label)
         L, a = ehrhart_quasi(info), generalized_eulerian(info)
         for n in range(2 * info.period_rho + 2):
-            assert _same_form(char_quasi(info, n), apply_S(L, OperatorPoly(a, n + 1))), (label, n)
-    # far out, only the numerator reduction keeps the series short: without it
-    # n = 10^7 would expand ~3 * 10^8 terms
+            got = char_quasi(info, n)
+            assert _same_form(got, apply_S(L, OperatorPoly(a, n + 1))), (label, n)
+            assert _same_form(got, series_char_quasi(info, n)), (label, n)
+    # far out, the reference reduces its numerator mod (1 - x^rho)^(l+1):
+    # unreduced, n = 10^7 would expand ~3 * 10^8 series terms
     info = catalog("E8")
     L, a = ehrhart_quasi(info), generalized_eulerian(info)
     for n in (10**3, 10**5, 10**7):
-        assert _same_form(char_quasi(info, n), apply_S(L, OperatorPoly(a, n + 1))), n
+        got = char_quasi(info, n)
+        assert _same_form(got, apply_S(L, OperatorPoly(a, n + 1))), n
+        assert _same_form(got, series_char_quasi(info, n)), n
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_piece_images_vanish_exactly_off_the_divisors(label):
+    # R_Phi(S^(n+1)) annihilates the piece of L of order d iff d does not
+    # divide n + 1; char_quasi relies on the sum, not on skipping pieces
+    info = catalog(label)
+    a = generalized_eulerian(info)
+    for n in [*range(2 * info.period_rho + 2), 10**5]:
+        op = OperatorPoly(a, n + 1)
+        for d, piece in decompose_ehrhart(info):
+            vanishes = apply_S(piece, op) == QuasiPoly.zero()
+            assert vanishes == ((n + 1) % d != 0), (label, n, d)
 
 
 def test_char_quasi_rejects_negative_n():
@@ -240,6 +258,27 @@ def test_main_theorem_fails_on_a_wrong_average(monkeypatch):
             assert not verify_main_theorem(catalog(label), n), (label, n)
     for label, n in WRONG_AVERAGE_CASES:
         assert verify_main_theorem(catalog(label), n), (label, n)
+
+
+# (type, n) with a piece order d that does not divide n + 1
+EXTRA_PIECE_CASES = [("B2", 2), ("E8", 2), ("G2", 1), ("F4", 2)]
+
+
+def test_main_theorem_fails_on_an_extra_piece(monkeypatch):
+    # an extra piece of an order d not dividing n + 1 that R_Phi(S^(n+1))
+    # does not annihilate, the indicator of slot 0 mod d, must be refused:
+    # char_quasi applies the operator to every piece, so none escapes the check
+    real = arrangements._ehrhart_pieces
+    for label, n in EXTRA_PIECE_CASES:
+        info = catalog(label)
+        d = next(d for d, _ in real(info) if (n + 1) % d)
+        indicator = QuasiPoly(d, [RatPoly.one()] + [RatPoly.zero()] * (d - 1))
+        with monkeypatch.context() as patch:
+            patch.setattr(arrangements, "_ehrhart_pieces", lambda i: real(i) + ((d, indicator),))
+            char_quasi.cache_clear()
+            assert not verify_main_theorem(info, n), (label, n)
+        char_quasi.cache_clear()
+        assert verify_main_theorem(info, n), (label, n)
 
 
 @pytest.mark.parametrize("label", SMALL_TYPES)
