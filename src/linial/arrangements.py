@@ -124,7 +124,7 @@ def oracle_count(info: RootSystemInfo, a: int, b: int, q: int) -> int:
     import numpy as np
     from numpy.lib.stride_tricks import as_strided
 
-    C = np.array([r.coords for r in positive_roots(info)], dtype=np.int64)
+    C = np.array(positive_roots(info), dtype=np.int64)
     last = np.array([np.flatnonzero(r)[-1] for r in C])  # last nonzero coordinate
     C, last = C[last.argsort(kind="stable")], np.sort(last)
     width = min(q, _BLOCK)  # values of one coordinate per chunk

@@ -23,7 +23,7 @@ bundles a coefficient polynomial with a stride m and stands for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, zip_longest
 from operator import add, mul
@@ -152,14 +152,23 @@ def _make(period: int, den: int, rows) -> QuasiPoly:
 
 @dataclass(frozen=True)
 class OperatorPoly:
-    """``sum_k coeffs[k] * S^(stride*k)`` — a polynomial in a power of S."""
+    """``sum_k coeffs[k] * S^(stride*k)`` — a polynomial in a power of S,
+    also held, converted once, as ``sum a S^s / den`` over the integer (s, a)
+    in ``terms``; equality, hashing and repr read only coeffs and stride."""
 
     coeffs: RatPoly
     stride: int = 1
+    terms: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
+    den: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
+        cs = self.coeffs.coeffs
+        den = math.lcm(*(c.denominator for c in cs), 1)
+        terms = ((self.stride * k, c.numerator * (den // c.denominator)) for k, c in enumerate(cs))
+        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "den", den)
 
 
 def sorted_divisors(n: int) -> list[int]:
@@ -243,13 +252,6 @@ def _convolve(tables, modulus: int, width: int) -> dict[int, list[int]]:
     return out
 
 
-def _operator_terms(op: OperatorPoly):
-    """The (shift, weight) terms of ``op`` over their common denominator."""
-    cs = op.coeffs.coeffs
-    den = math.lcm(*(c.denominator for c in cs), 1)
-    return [(op.stride * k, c.numerator * (den // c.denominator)) for k, c in enumerate(cs)], den
-
-
 def _operator_rows(f: QuasiPoly, table: dict[int, list[int]], den: int) -> QuasiPoly:
     """The operator with moment table ``table`` over ``den`` applied to
     ``f``, computed at f's period, which is minimal; the result is cut to
@@ -281,8 +283,7 @@ def apply_S(f: QuasiPoly, op: OperatorPoly) -> QuasiPoly:
     Computed at f's period n, which is minimal: slot r draws on the
     constituent at slot (r - m k) mod n with its argument shifted by m k.
     """
-    terms, den = _operator_terms(op)
-    return _operator_rows(f, _moment_table(terms, f.period, len(f.rows[0])), den)
+    return _operator_rows(f, _moment_table(op.terms, f.period, len(f.rows[0])), op.den)
 
 
 def _power_sums(m: int, k: int, width: int) -> dict[int, list[int]]:

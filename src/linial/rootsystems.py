@@ -1,16 +1,18 @@
 """Catalog of irreducible root systems and generated combinatorial data.
 
-The per-type data are the marks and the Cartan matrix.  The Coxeter number,
-the period rho = lcm of the marks, its radical and the index of connection
-f (the number of marks equal to 1; Bourbaki, Lie Groups, Ch. VI) follow from
-the marks.  Positive roots are the closure of the simple roots under the
-simple reflections, and Weyl groups (small rank only) the breadth-first
-closure of the identity under them.
+The only per-type datum is the Dynkin diagram, which gives the Cartan
+matrix.  Positive roots are the closure of the simple roots under the simple
+reflections; the marks are 1 and the coefficients of the highest root.  The
+Coxeter number, the period rho = lcm of the marks, its radical and the index
+of connection f (the number of marks equal to 1; Bourbaki, Lie Groups,
+Ch. VI) follow from the marks.  Weyl groups (small rank only) are the
+breadth-first closure of the identity under the simple reflections.
 
 Coordinates are always in the simple-root basis: a root is the integer
-vector (m_1, ..., m_l) with alpha = sum m_j alpha_j.  The Cartan matrix is
-stored as A[i][j] = <alpha_i, alpha_j-coroot>, so the reflection s_j acts by
-beta -> beta - (sum_i beta_i A[i][j]) e_j.
+vector (m_1, ..., m_l) with alpha = sum m_j alpha_j, numbered as in
+Bourbaki's plates except G2, whose long root comes first (highest root
+(2, 3)).  The Cartan matrix is stored as A[i][j] = <alpha_i, alpha_j-coroot>,
+so the reflection s_j acts by beta -> beta - (sum_i beta_i A[i][j]) e_j.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import NamedTuple
 
 __all__ = [
     "RootSystemInfo",
-    "PositiveRoot",
     "WeylElement",
     "GroupTooLargeError",
     "catalog",
@@ -43,16 +44,11 @@ class RootSystemInfo:
     label: str
     rank: int
     marks: tuple[int, ...]  # c_0..c_l, ascending (c_0 = 1)
-    distinct_marks: tuple[tuple[int, int], ...]  # (c-hat, l-hat) pairs
     coxeter_h: int
     period_rho: int
     rad_rho: int
     cartan: tuple[tuple[int, ...], ...]
     index_f: int
-
-
-class PositiveRoot(NamedTuple):
-    coords: tuple[int, ...]
 
 
 class WeylElement(NamedTuple):
@@ -64,60 +60,26 @@ class GroupTooLargeError(RuntimeError):
     pass
 
 
-def _path_cartan(rank: int) -> list[list[int]]:
-    a = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        a[i][i] = 2
-        if i + 1 < rank:
-            a[i][i + 1] = a[i + 1][i] = -1
-    return a
+_MULTIPLE_BOND = {"B": (-2, -1, 2), "C": (-1, -2, 2), "F": (1, 2, 2), "G": (0, 1, 3)}
 
 
 def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    if family == "A":
-        a = _path_cartan(rank)
-    elif family == "B":
-        a = _path_cartan(rank)
-        a[rank - 2][rank - 1] = -2  # last simple root short
-    elif family == "C":
-        a = _path_cartan(rank)
-        a[rank - 1][rank - 2] = -2  # last simple root long
-    elif family == "D":
-        a = _path_cartan(rank)  # then move the last node from node l-1 to l-2
-        a[rank - 2][rank - 1] = a[rank - 1][rank - 2] = 0
-        a[rank - 3][rank - 1] = a[rank - 1][rank - 3] = -1
-    elif family == "E":
-        a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-        edges = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]
-        if rank >= 7:
-            edges.append((5, 6))
-        if rank == 8:
-            edges.append((6, 7))
-        for i, j in edges:
-            a[i][j] = a[j][i] = -1
-    elif family == "F":
-        a = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
-    elif family == "G":
-        a = [[2, -3], [-1, 2]]
-    else:  # pragma: no cover
-        raise ValueError(family)
-    return tuple(tuple(row) for row in a)
-
-
-def _marks(family: str, rank: int) -> tuple[int, ...]:
-    if family == "A":
-        return (1,) * (rank + 1)
-    if family in ("B", "C"):
-        return (1, 1) + (2,) * (rank - 1)
+    """The Cartan matrix of the Dynkin diagram: simple bonds (i, j) along a
+    path (D moves its last one, E has its own), and at most one multiple bond
+    (i, j, k) from a long root i to a short root j, which sets A[i][j] = -k
+    (``_MULTIPLE_BOND``; negative indices count back from the last node)."""
+    edges = [(i, i + 1) for i in range(rank - 1)]
     if family == "D":
-        return (1, 1, 1, 1) + (2,) * (rank - 3)
-    return {
-        "E6": (1, 1, 1, 2, 2, 2, 3),
-        "E7": (1, 1, 2, 2, 2, 3, 3, 4),
-        "E8": (1, 2, 2, 3, 3, 4, 4, 5, 6),
-        "F4": (1, 2, 2, 3, 4),
-        "G2": (1, 2, 3),
-    }[family + str(rank)]
+        edges[-1] = (rank - 3, rank - 1)
+    elif family == "E":
+        edges = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3), (5, 6), (6, 7)][: rank - 1]
+    a = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+    for i, j in edges:
+        a[i][j] = a[j][i] = -1
+    if family in _MULTIPLE_BOND:
+        i, j, k = _MULTIPLE_BOND[family]
+        a[i][j] = -k
+    return tuple(tuple(row) for row in a)
 
 
 _LABEL_RE = re.compile(r"^([A-G])_?([0-9]+)$")
@@ -141,22 +103,17 @@ def catalog(label: str) -> RootSystemInfo:
     }
     if not limits[family]:
         raise ValueError(f"rank {rank} out of range for family {family}")
-    marks = tuple(sorted(_marks(family, rank)))
-    h = sum(marks)
+    cartan = _cartan_matrix(family, rank)
+    marks = tuple(sorted((1,) + _closure(cartan)[-1]))  # 1 and the highest root
     rho = math.lcm(*marks)
     rad = math.prod(  # the primes dividing rho
         p for p in range(2, rho + 1) if rho % p == 0 and all(p % d for d in range(2, p))
     )
-    distinct = tuple(
-        (c, sum(1 for x in marks if x % c == 0) - 1) for c in sorted(set(marks))
-    )
-    cartan = _cartan_matrix(family, rank)
     return RootSystemInfo(
         label=f"{family}{rank}",
         rank=rank,
         marks=marks,
-        distinct_marks=distinct,
-        coxeter_h=h,
+        coxeter_h=sum(marks),
         period_rho=rho,
         rad_rho=rad,
         cartan=cartan,
@@ -174,34 +131,35 @@ def _reflect(beta: tuple[int, ...], j: int, cartan) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def positive_roots(info: RootSystemInfo) -> tuple[PositiveRoot, ...]:
-    """All positive roots, generated level-by-level from the simple roots.
-
-    Each new level reflects the last one in every simple root and keeps the
-    positive images.  This is complete: s_j permutes the positive roots other
-    than alpha_j, and every non-simple positive root is s_j of a positive
-    root of lower height for some j.
-    """
-    rank = info.rank
-    cartan = info.cartan
-    simple = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
-    found: set[tuple[int, ...]] = set(simple)
-    level = list(simple)
+def _closure(cartan) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of ``cartan`` in (height, coords) order, so the
+    highest root is last.  Each root is kept with its pairings
+    c_j = <beta, alpha_j-coroot>, and each c_j < 0 raises it to s_j beta =
+    beta - c_j alpha_j, whose pairings add -c_j times row j.  From the simple
+    roots up this is complete: every non-simple positive root is s_j of a
+    positive root of lower height whose j-th pairing is negative."""
+    rank = len(cartan)
+    level = {tuple(int(i == j) for i in range(rank)): cartan[j] for j in range(rank)}
+    found = dict(level)
     while level:
-        nxt = []
-        for beta in level:
-            for j in range(rank):
-                t = _reflect(beta, j, cartan)
-                if t not in found and min(t) >= 0:
-                    found.add(t)
-                    nxt.append(t)
+        nxt = {}
+        for beta, pairs in level.items():
+            for j, c in enumerate(pairs):
+                if c < 0:
+                    t = beta[:j] + (beta[j] - c,) + beta[j + 1 :]
+                    if t not in found:
+                        found[t] = nxt[t] = tuple(p - c * a for p, a in zip(pairs, cartan[j]))
         level = nxt
-    ordered = sorted(found, key=lambda v: (sum(v), v))
-    return tuple(PositiveRoot(v) for v in ordered)
+    return tuple(sorted(found, key=lambda v: (sum(v), v)))
+
+
+def positive_roots(info: RootSystemInfo) -> tuple[tuple[int, ...], ...]:
+    """All positive roots in simple-root coordinates, by (height, coords)."""
+    return _closure(info.cartan)
 
 
 def highest_root(info: RootSystemInfo) -> tuple[int, ...]:
-    return positive_roots(info)[-1].coords
+    return positive_roots(info)[-1]
 
 
 def weyl_group_order(info: RootSystemInfo) -> int:

@@ -47,7 +47,7 @@ def brute_oracle_count(info, a, b, q):
     import numpy as np
 
     forbidden = np.array(sorted({k % q for k in range(a, b + 1)}), dtype=np.int64)
-    roots = np.array([r.coords for r in positive_roots(info)], dtype=np.int64)
+    roots = np.array(positive_roots(info), dtype=np.int64)
     total = q**ell
     alive = 0
     # enumerate points in chunks to bound memory at large q^l

@@ -371,12 +371,13 @@ def test_ramanujan_sums_pinned():
 def test_decomposition_resums(label):
     info = catalog(label)
     parts = decompose_ehrhart(info)
-    assert [d for d, _ in parts] == sorted({c for (c, _) in info.distinct_marks})
+    assert [d for d, _ in parts] == sorted(set(info.marks))
     total = parts[0][1]
     for _, part in parts[1:]:
         total = total + part
     assert total == ehrhart_quasi(info)
-    lhat = dict(info.distinct_marks)
+    # l-hat: the number of marks c_1..c_l that d divides
+    lhat = {d: sum(1 for c in info.marks if c % d == 0) - 1 for d in set(info.marks)}
     for d, part in parts:
         assert info.period_rho % part.period == 0
         assert part.period <= d

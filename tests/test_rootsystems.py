@@ -119,8 +119,7 @@ def test_index_f_is_cartan_determinant(label):
 @pytest.mark.parametrize("label", ALL_TYPES)
 def test_positive_roots_match_root_string_closure(label):
     info = catalog(label)
-    got = tuple(r.coords for r in positive_roots(info))
-    assert got == reference_positive_roots(info.cartan)
+    assert positive_roots(info) == reference_positive_roots(info.cartan)
 
 
 @pytest.mark.parametrize("label", sorted(TABLE))
@@ -140,15 +139,7 @@ def test_catalog_internal_consistency(label):
     assert info.marks[0] == 1
     assert sum(info.marks) == info.coxeter_h
     assert len(info.marks) == info.rank + 1
-    # distinct_marks: multiplicity bookkeeping
-    for chat, lhat in info.distinct_marks:
-        assert lhat + 1 == sum(1 for c in info.marks if c % chat == 0)
     assert len(info.cartan) == info.rank
-
-
-def test_distinct_marks_E7():
-    info = catalog("E7")
-    assert tuple(info.distinct_marks) == ((1, 7), (2, 3), (3, 1), (4, 0))
 
 
 def test_label_parsing():
@@ -166,31 +157,46 @@ def test_positive_root_count(label):
     assert len(roots) == info.rank * info.coxeter_h // 2
     assert len(set(roots)) == len(roots)
     for r in roots:
-        assert all(m >= 0 for m in r.coords) and any(r.coords)
+        assert all(m >= 0 for m in r) and any(r)
 
 
 def test_positive_roots_A2():
     info = catalog("A2")
-    coords = {r.coords for r in positive_roots(info)}
-    assert coords == {(1, 0), (0, 1), (1, 1)}
+    assert set(positive_roots(info)) == {(1, 0), (0, 1), (1, 1)}
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)
 def test_highest_root_matches_marks(label):
+    # the highest root is dominant, and with 1 its coefficients are the marks
+    # pinned in TABLE
     info = catalog(label)
     top = highest_root(info)
-    assert tuple(sorted(top)) == tuple(info.marks[1:])
+    assert tuple(sorted((1,) + top)) == TABLE[label][0]
+    for j in range(info.rank):
+        assert sum(t * row[j] for t, row in zip(top, info.cartan)) >= 0
 
 
-def test_highest_root_coords_exact():
-    assert highest_root(catalog("G2")) == (2, 3)
-    assert highest_root(catalog("F4")) == (2, 3, 4, 2)
-    assert highest_root(catalog("E6")) == (1, 2, 2, 3, 2, 1)
-    assert highest_root(catalog("E7")) == (2, 2, 3, 4, 3, 2, 1)
-    assert highest_root(catalog("E8")) == (2, 3, 4, 6, 5, 4, 3, 2)
-    assert highest_root(catalog("B4")) == (1, 2, 2, 2)
-    assert highest_root(catalog("C4")) == (2, 2, 2, 1)
-    assert highest_root(catalog("D5")) == (1, 2, 2, 1, 1)
+# The highest root in the catalogue's numbering of the simple roots, which is
+# Bourbaki's except for G2 (long root first); pins the Dynkin diagram wiring.
+EXCEPTIONAL_HIGHEST_ROOTS = {
+    "E6": (1, 2, 2, 3, 2, 1),
+    "E7": (2, 2, 3, 4, 3, 2, 1),
+    "E8": (2, 3, 4, 6, 5, 4, 3, 2),
+    "F4": (2, 3, 4, 2),
+    "G2": (2, 3),
+}
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_highest_root_coords_exact(label):
+    family, ell = label[0], int(label[1:])
+    expected = {
+        "A": (1,) * ell,
+        "B": (1,) + (2,) * (ell - 1),
+        "C": (2,) * (ell - 1) + (1,),
+        "D": (1,) + (2,) * (ell - 3) + (1, 1),
+    }.get(family) or EXCEPTIONAL_HIGHEST_ROOTS[label]
+    assert highest_root(catalog(label)) == expected
 
 
 WEYL_ORDERS = {
