@@ -10,9 +10,9 @@ The central objects:
                                   piece by piece over the decomposition of
                                   L_Phi by cyclotomic order;
 * ``char_poly(info, n)``        — its constituent at residue 1 (the
-                                  characteristic polynomial proper), as
-                                  R_Phi(Sbar^(n+1)) on one slot of tilde(L, g),
-                                  applied as R_Phi(S^(n+1));
+                                  characteristic polynomial proper): the
+                                  integer family K_g of g = gcd(n+1, rho),
+                                  one matrix per class, evaluated at N = n+1;
 * ``oracle_count(info, a, b, q)`` — independent count of complement
                                   points in (Z/q)^l, by pruned enumeration;
 * ``verify_*``                  — exact constituent-level checks of the
@@ -30,6 +30,7 @@ is not proven to hold for every type and n.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 from .ehrhart import PeriodConsistencyError, _ehrhart_pieces, ehrhart_quasi
@@ -38,7 +39,6 @@ from .quasipoly import (
     OperatorPoly,
     QuasiPoly,
     _apply_block_product,
-    _raw,
     apply_S,
     tilde,
 )
@@ -73,18 +73,39 @@ def char_quasi(info: RootSystemInfo, n: int) -> QuasiPoly:
 
 
 @lru_cache(maxsize=None)
+def _char_family(info: RootSystemInfo, g: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(den, K)`` with chi_n(t) = sum_{p,e} K[p][e] t^p N^e / den for every
+    N = n+1 with gcd(N, rho) = g, in integers.  By the main theorem chi_n is
+    R_Phi(Sbar^N) on c, the slot at residue 1 of tilde(L_Phi, g), so
+    chi_n(t) = sum_k a_k c(t - N k), and a Taylor expansion gives
+    K[p][e] = (-1)^e C(p+e, e) c_{p+e} mu_e, mu_e = sum_k a_k k^e for
+    R_Phi = sum_k a_k t^k (Yoshinaga, Tohoku Math. J. 70 (2018))."""
+    avg = tilde(ehrhart_quasi(info), g)
+    c = avg.rows[1 % avg.period]
+    op = OperatorPoly(generalized_eulerian(info))
+    mu = [sum(a * k**e for k, a in op.terms) for e in range(len(c))]
+    K = tuple(
+        tuple((-1) ** e * math.comb(p + e, e) * c[p + e] * mu[e] for e in range(len(c) - p))
+        for p in range(len(c))
+    )
+    return avg.den * op.den, K
+
+
+@lru_cache(maxsize=None)
 def char_poly(info: RootSystemInfo, n: int) -> RatPoly:
-    """The constituent of ``char_quasi`` at residue 1: by the main theorem,
-    R_Phi(Sbar^(n+1)) applied to the slot at residue 1 of tilde(L_Phi, g),
-    g = gcd(n+1, rho), alone; ``apply_S`` reduces its output, so that
-    slot may be unreduced.  Sbar shifts without rotating slots, so on this
-    period-1 operand Sbar^(n+1) = S^(n+1)."""
+    """The constituent of ``char_quasi`` at residue 1: the family
+    ``_char_family`` of the class g = gcd(n+1, rho), each row of K
+    evaluated at N = n+1 by Horner's rule."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    avg = tilde(ehrhart_quasi(info), math.gcd(n + 1, info.period_rho))
-    slot = _raw(1, avg.den, (avg.rows[1 % avg.period],))
-    op = OperatorPoly(generalized_eulerian(info), stride=n + 1)
-    return apply_S(slot, op).constituents[0]
+    den, K = _char_family(info, math.gcd(n + 1, info.period_rho))
+    coeffs = []
+    for row in K:
+        acc = 0
+        for v in reversed(row):
+            acc = acc * (n + 1) + v
+        coeffs.append(Fraction(acc, den))
+    return RatPoly(coeffs)
 
 
 def oracle_agreement_bound(info: RootSystemInfo, n: int) -> int:

@@ -23,7 +23,6 @@ bundles a coefficient polynomial with a stride m and stands for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, zip_longest
 from operator import add, mul
@@ -119,8 +118,8 @@ class QuasiPoly:
         return f"QuasiPoly(period={self.period}, constituents={list(self.constituents)!r})"
 
 
-def _set(f: QuasiPoly, *form) -> QuasiPoly:
-    for name, value in zip(QuasiPoly.__slots__, form):
+def _set(f, *form):
+    for name, value in zip(f.__slots__, form):
         object.__setattr__(f, name, value)
     return f
 
@@ -150,25 +149,34 @@ def _make(period: int, den: int, rows) -> QuasiPoly:
     return _raw(d, den // g, rows[:d])
 
 
-@dataclass(frozen=True)
 class OperatorPoly:
     """``sum_k coeffs[k] * S^(stride*k)`` — a polynomial in a power of S,
     also held, converted once, as ``sum a S^s / den`` over the integer (s, a)
     in ``terms``; equality, hashing and repr read only coeffs and stride."""
 
-    coeffs: RatPoly
-    stride: int = 1
-    terms: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
-    den: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("coeffs", "stride", "terms", "den")
 
-    def __post_init__(self):
-        if self.stride < 1:
+    def __init__(self, coeffs: RatPoly, stride: int = 1):
+        if stride < 1:
             raise ValueError("stride must be >= 1")
-        cs = self.coeffs.coeffs
+        cs = coeffs.coeffs
         den = math.lcm(*(c.denominator for c in cs), 1)
-        terms = ((self.stride * k, c.numerator * (den // c.denominator)) for k, c in enumerate(cs))
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "den", den)
+        terms = tuple((stride * k, c.numerator * (den // c.denominator)) for k, c in enumerate(cs))
+        _set(self, coeffs, stride, terms, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OperatorPoly is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OperatorPoly):
+            return NotImplemented
+        return (self.coeffs, self.stride) == (other.coeffs, other.stride)
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.stride))
+
+    def __repr__(self) -> str:
+        return f"OperatorPoly(coeffs={self.coeffs!r}, stride={self.stride!r})"
 
 
 def sorted_divisors(n: int) -> list[int]:

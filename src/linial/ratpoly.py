@@ -18,6 +18,7 @@ The integer Sturm chains of the root-line certificate live in ``rootline``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -163,21 +164,23 @@ def cyclotomic_type(c: int) -> RatPoly:
 
 
 def shift_argument(p: RatPoly, a: Fraction | int) -> RatPoly:
-    """Return the Taylor shift ``p(t + a)``, exactly."""
+    """Return the Taylor shift ``p(t + a)``, exactly, on integers.
+
+    With D the lcm of p's denominators, D p = sum P_k t^k, deg p = m and
+    a = u/v (v > 0): v^m D p(s + u/v) = Q(v s) for
+    Q(x) = sum P_k v^(m-k) (x + u)^k, built by Horner's rule on integers.
+    Coefficient j of p(t + a) is then Q_j / (v^(m-j) D), divided back once.
+    """
     a = Fraction(a)
     if a == 0 or p.is_zero:
         return p
-    # Horner: start with leading coeff, repeatedly multiply by (t + a).
-    out: list[Fraction] = []
-    for c in reversed(p.coeffs):
-        # out <- out * (t + a) + c
-        nxt = [Fraction(0)] * (len(out) + 1)
-        for i, v in enumerate(out):
-            nxt[i + 1] += v
-            nxt[i] += a * v
-        nxt[0] += c
-        out = nxt
-    return RatPoly(out)
+    u, v, cs = a.numerator, a.denominator, p.coeffs
+    den, m = math.lcm(*(c.denominator for c in cs)), len(cs) - 1
+    out: list[int] = []
+    for k in range(m, -1, -1):  # out <- out * (x + u) + P_k v^(m-k)
+        out = [x + u * y for x, y in zip([0] + out, out + [0])]
+        out[0] += cs[k].numerator * (den // cs[k].denominator) * v ** (m - k)
+    return RatPoly(Fraction(q, den * v ** (m - j)) for j, q in enumerate(out))
 
 
 def compose_power(p: RatPoly, m: int) -> RatPoly:

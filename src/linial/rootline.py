@@ -30,16 +30,15 @@ repeated roots included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ratpoly import RatPoly, shift_argument
 
 __all__ = ["RootReport", "find_roots", "verify_line"]
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(NamedTuple):
     target_real_part: Fraction
     roots: tuple[complex, ...]
     max_deviation: float

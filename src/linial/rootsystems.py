@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -39,8 +38,7 @@ __all__ = [
 CLI_LABELS = ("A3", "B4", "C3", "D4", "E6", "E7", "E8", "F4", "G2")
 
 
-@dataclass(frozen=True)
-class RootSystemInfo:
+class RootSystemInfo(NamedTuple):
     label: str
     rank: int
     marks: tuple[int, ...]  # c_0..c_l, ascending (c_0 = 1)

@@ -1,14 +1,18 @@
 """Test-side reference algebra, kept out of the package: exact division and
-gcd over Q[t], the cyclic slot rotation sigma, the shift operators S and
-S-bar by their definitions, through literal Taylor shifts of the
-constituents, and the generating-series route to a quasi-polynomial for any
-sparse numerator, proper or not.
+gcd over Q[t], the Taylor shift on rationals, the cyclic slot rotation
+sigma, the shift operators S and S-bar by their definitions, through
+literal Taylor shifts of the constituents, the characteristic polynomial
+through one operator application per n, and the generating-series route
+to a quasi-polynomial for any sparse numerator, proper or not.
 
 The package applies every shift operator through one moment kernel
 (``quasipoly.apply_S``); these references compute the same things straight
 from the definitions, so the tests can compare the two.  The series route
 is an independent reference for ``arrangements.char_quasi``: R_Phi(S^(n+1))
 L_Phi is the quasi-polynomial of R_Phi(x^(n+1)) / prod (1 - x^{c_i}).
+``reference_char_poly`` applies R_Phi(S^(n+1)) to one slot of
+tilde(L_Phi, gcd(n+1, rho)) for each n, where ``arrangements.char_poly``
+evaluates one integer family per class of n.
 """
 
 import math
@@ -16,9 +20,9 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul, sub
 
-from linial.ehrhart import PeriodConsistencyError
+from linial.ehrhart import PeriodConsistencyError, ehrhart_quasi
 from linial.eulerian import generalized_eulerian
-from linial.quasipoly import QuasiPoly, _make
+from linial.quasipoly import OperatorPoly, QuasiPoly, _make, _raw, apply_S, tilde
 from linial.ratpoly import RatPoly
 
 #: The variable ``t`` itself, for building polynomials expression-style.
@@ -63,6 +67,35 @@ def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
     if a.is_zero:
         return a
     return a.scale(1 / a.leading)
+
+
+def reference_shift_argument(p: RatPoly, a) -> RatPoly:
+    """The Taylor shift p(t + a) by Horner's rule on Fractions: starting
+    from the leading coefficient, multiply by (t + a) and add the next."""
+    a = Fraction(a)
+    if a == 0 or p.is_zero:
+        return p
+    out: list[Fraction] = []
+    for c in reversed(p.coeffs):
+        # out <- out * (t + a) + c
+        nxt = [Fraction(0)] * (len(out) + 1)
+        for i, v in enumerate(out):
+            nxt[i + 1] += v
+            nxt[i] += a * v
+        nxt[0] += c
+        out = nxt
+    return RatPoly(out)
+
+
+def reference_char_poly(info, n: int) -> RatPoly:
+    """The main theorem's R_Phi(Sbar^(n+1)) applied to the slot at residue 1
+    of tilde(L_Phi, g), g = gcd(n+1, rho), alone; ``apply_S`` reduces its
+    output, so that slot may be unreduced.  Sbar shifts without rotating
+    slots, so on this period-1 operand Sbar^(n+1) = S^(n+1)."""
+    avg = tilde(ehrhart_quasi(info), math.gcd(n + 1, info.period_rho))
+    slot = _raw(1, avg.den, (avg.rows[1 % avg.period],))
+    op = OperatorPoly(generalized_eulerian(info), stride=n + 1)
+    return apply_S(slot, op).constituents[0]
 
 
 def sigma_pow(f: QuasiPoly, k: int) -> QuasiPoly:

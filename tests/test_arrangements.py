@@ -26,10 +26,10 @@ from linial.arrangements import (
 )
 from linial.ehrhart import PeriodConsistencyError, decompose_ehrhart, ehrhart_quasi
 from linial.eulerian import generalized_eulerian
-from linial.quasipoly import OperatorPoly, QuasiPoly, apply_S
+from linial.quasipoly import OperatorPoly, QuasiPoly, apply_S, sorted_divisors
 from linial.ratpoly import RatPoly, cyclotomic_type, render_poly
 from linial.rootsystems import catalog, positive_roots
-from reference_algebra import series_char_quasi
+from reference_algebra import reference_char_poly, series_char_quasi
 
 _CHUNK = 1 << 21
 
@@ -453,6 +453,71 @@ def test_char_poly_is_residue_one_constituent():
                 assert p(t) == value, (label, n, t)
     with pytest.raises(ValueError):
         char_poly(catalog("G2"), -1)
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_char_poly_matches_reference_in_every_class(label):
+    # the family K_g evaluated at N against one operator application per n:
+    # every n = 0..2 rho + 1, and N = g + 10^5 rho, whose gcd with rho is g,
+    # in every class g
+    info = catalog(label)
+    rho = info.period_rho
+    ns = list(range(2 * rho + 2)) + [g + 10**5 * rho - 1 for g in sorted_divisors(rho)]
+    for n in ns:
+        assert char_poly(info, n) == reference_char_poly(info, n), (label, n)
+
+
+def _interpolate(xs, ys) -> list:
+    """Coefficients, lowest degree first, of the polynomial of degree
+    < len(xs) through the points (xs, ys): Newton's divided differences,
+    then the nested Newton form multiplied out."""
+    c = [Fraction(y) for y in ys]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    out = [c[-1]]
+    for x, ci in zip(xs[-2::-1], c[-2::-1]):
+        # out <- out * (N - x) + ci
+        out = [u - x * v for u, v in zip([0] + out, out + [0])]
+        out[0] += ci
+    return out
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_char_family_is_the_interpolant_in_N(label):
+    # each coefficient of chi_n has degree <= l in N within a class g, so the
+    # l + 1 nodes N = g + j rho, j <= l, computed through the reference
+    # determine it, and the node j = l + 1 is to spare; the interpolant must
+    # be the row of K_g / den
+    info = catalog(label)
+    ell, rho = info.rank, info.period_rho
+    for g in sorted_divisors(rho):
+        nodes = [g + j * rho for j in range(ell + 2)]
+        polys = [reference_char_poly(info, N - 1) for N in nodes]
+        den, K = arrangements._char_family(info, g)
+        assert len(K) == ell + 1, (label, g)
+        for p, row in enumerate(K):
+            ys = [q.coeff(p) for q in polys]
+            got = _interpolate(nodes[:-1], ys[:-1])
+            assert RatPoly(got)(nodes[-1]) == ys[-1], (label, g, p)
+            want = [Fraction(v, den) for v in row] + [0] * p
+            assert got == want, (label, g, p)
+
+
+def test_char_poly_applies_no_operator_per_n(monkeypatch):
+    # once a class's family is built, a row of the table is one Horner
+    # evaluation per coefficient: no tilde, no operator, no kernel pass
+    info = catalog("E8")
+    for g in sorted_divisors(info.period_rho):
+        arrangements._char_family(info, g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("char_poly built an operator")
+
+    for name in ("apply_S", "OperatorPoly", "tilde", "ehrhart_quasi"):
+        monkeypatch.setattr(arrangements, name, refuse)
+    for n in (0, 1, 59, 60, 10**9 + 7):
+        assert char_poly.__wrapped__(info, n) == reference_char_poly(info, n)
 
 
 GOLDEN_SPOT_CHECKS = [

@@ -256,17 +256,23 @@ def test_ehrhart_q_max_cap_is_inclusive(capsys, monkeypatch):
 
 
 def test_formula_commands_do_not_import_numpy():
-    # numpy is only for the mod-q oracle
+    # numpy is only for the mod-q oracle; dataclasses (which pulls in
+    # inspect, ast, dis and tokenize) is not imported at all, and a bare
+    # interpreter loads neither
     script = (
-        "import contextlib, io, sys, linial\n"
+        "import sys\n"
+        "assert 'numpy' not in sys.modules and 'dataclasses' not in sys.modules\n"
+        "import contextlib, io, linial.cli\n"
         "from linial.cli import main\n"
-        "assert 'numpy' not in sys.modules\n"
+        "assert 'numpy' not in sys.modules, 'numpy'\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses'\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['ehrhart', 'G2']), main(['decompose', 'F4']),\n"
         "             main(['verify', 'B3', '2', '--mode', 'formula']),\n"
         "             main(['table', 'E8', '--n-list', '1,2']), main(['roots', 'E6', '1'])]\n"
         "assert codes == [0, 0, 0, 0, 0], codes\n"
-        "assert 'numpy' not in sys.modules\n"
+        "assert 'numpy' not in sys.modules, 'numpy'\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses'\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120

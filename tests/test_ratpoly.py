@@ -15,7 +15,7 @@ from linial.ratpoly import (
     render_poly,
     shift_argument,
 )
-from reference_algebra import X, divides, poly_divmod, poly_gcd
+from reference_algebra import X, divides, poly_divmod, poly_gcd, reference_shift_argument
 
 small_ints = st.integers(min_value=-9, max_value=9)
 int_polys = st.lists(small_ints, min_size=0, max_size=8).map(
@@ -80,6 +80,30 @@ def test_shift_argument_pointwise(p, a):
     shifted = shift_argument(p, Fraction(a))
     for x in range(-4, 5):
         assert shifted(Fraction(x)) == p(Fraction(x + a))
+
+
+def test_shift_argument_matches_reference():
+    # the integer Taylor shift against Horner on Fractions, seeded: the zero
+    # polynomial, constants and degrees up to 9 with rational coefficients,
+    # shifted by 0, by integers of either sign and by non-integers
+    rng = random.Random(21)
+    shifts = [0, 1, -1, 7, -30, Fraction(1, 2), Fraction(-7, 3), Fraction(120, 7), Fraction(-1, 60)]
+    polys = [RatPoly(), RatPoly((5,)), RatPoly((Fraction(-3, 4),))]
+    for _ in range(60):
+        polys.append(
+            RatPoly(
+                Fraction(rng.randint(-99, 99), rng.randint(1, 12))
+                for _ in range(rng.randint(1, 10))
+            )
+        )
+    shifts += [Fraction(rng.randint(-500, 500), rng.randint(1, 40)) for _ in range(20)]
+    for p in polys:
+        for a in shifts:
+            got = shift_argument(p, a)
+            assert got == reference_shift_argument(p, a), (p, a)
+            assert isinstance(got, RatPoly)
+    assert shift_argument(RatPoly((5,)), Fraction(-7, 3)) == RatPoly((5,))
+    assert shift_argument(RatPoly(), 4).is_zero
 
 
 def test_compose_power():

@@ -380,3 +380,25 @@ def test_roots_match_numpy_on_random_products():
     for _ in range(500):
         p, a, _ = _random_case(rng)
         _assert_match_numpy(_primitive(shift_argument(p, a).coeffs))
+
+
+def test_root_report_record():
+    # the report's repr, hash and field names
+    rep = verify_line(RatPoly((2, -2, 1)), 1)  # roots 1 +- i
+    assert repr(rep) == (
+        "RootReport(target_real_part=Fraction(1, 1), roots=((1-1j), (1+1j)), "
+        "max_deviation=0.0, symmetry_exact=True, sturm_exact=True, squarefree=True)"
+    )
+    double = verify_line(RatPoly((0, 0, 1)), 0)
+    assert repr(double) == (
+        "RootReport(target_real_part=Fraction(0, 1), roots=(0j, 0j), "
+        "max_deviation=0.0, symmetry_exact=True, sturm_exact=True, squarefree=False)"
+    )
+    assert rep.target_real_part == 1 and rep.roots == (1 - 1j, 1 + 1j)
+    assert rep.max_deviation == 0.0 and rep.symmetry_exact and rep.sturm_exact
+    assert rep.squarefree and not double.squarefree
+    assert hash(rep) == hash(verify_line(RatPoly((2, -2, 1)), 1))
+    assert len({rep, double, verify_line(RatPoly((2, -2, 1)), 1)}) == 2
+    with pytest.raises(AttributeError):
+        rep.squarefree = False
+

@@ -255,3 +255,24 @@ def test_weyl_sign_vectors():
 def test_weyl_cap():
     with pytest.raises(GroupTooLargeError):
         weyl_elements(catalog("E8"))
+
+
+def test_catalog_record():
+    # the record's repr, hash and field names
+    info = catalog("G2")
+    assert repr(info) == (
+        "RootSystemInfo(label='G2', rank=2, marks=(1, 2, 3), coxeter_h=6, period_rho=6, "
+        "rad_rho=6, cartan=((2, -3), (-1, 2)), index_f=1)"
+    )
+    assert repr(catalog("B3")) == (
+        "RootSystemInfo(label='B3', rank=3, marks=(1, 1, 2, 2), coxeter_h=6, period_rho=2, "
+        "rad_rho=2, cartan=((2, -1, 0), (-1, 2, -2), (0, -1, 2)), index_f=2)"
+    )
+    assert (info.label, info.rank, info.marks, info.coxeter_h) == ("G2", 2, (1, 2, 3), 6)
+    assert (info.period_rho, info.rad_rho, info.index_f) == (6, 6, 1)
+    assert info.cartan == ((2, -3), (-1, 2))
+    assert len({catalog(label) for label in ALL_TYPES}) == len(ALL_TYPES)
+    assert hash(catalog("g_2")) == hash(info) and catalog("g_2") == info
+    with pytest.raises(AttributeError):
+        info.rank = 3
+
