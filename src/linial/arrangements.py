@@ -8,11 +8,13 @@ The central objects:
 * ``char_quasi(info, n)``       — the characteristic quasi-polynomial,
                                   R_Phi(S^(n+1)) applied to L_Phi, computed
                                   piece by piece over the decomposition of
-                                  L_Phi by cyclotomic order;
+                                  L_Phi by cyclotomic order, each image a
+                                  family in N cached per class, evaluated
+                                  at N = n+1;
 * ``char_poly(info, n)``        — its constituent at residue 1 (the
                                   characteristic polynomial proper): the
-                                  integer family K_g of g = gcd(n+1, rho),
-                                  one matrix per class, evaluated at N = n+1;
+                                  family of that slot of tilde(L_Phi, g),
+                                  g = gcd(n+1, rho), evaluated at N = n+1;
 * ``oracle_count(info, a, b, q)`` — independent count of complement
                                   points in (Z/q)^l, by pruned enumeration;
 * ``verify_*``                  — exact constituent-level checks of the
@@ -30,8 +32,8 @@ is not proven to hold for every type and n.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .ehrhart import PeriodConsistencyError, _ehrhart_pieces, ehrhart_quasi
 from .eulerian import generalized_eulerian
@@ -39,7 +41,10 @@ from .quasipoly import (
     OperatorPoly,
     QuasiPoly,
     _apply_block_product,
-    apply_S,
+    _evaluate,
+    _make,
+    _moment_table,
+    _operator_rows,
     tilde,
 )
 from .ratpoly import RatPoly
@@ -62,50 +67,51 @@ __all__ = [
 def char_quasi(info: RootSystemInfo, n: int) -> QuasiPoly:
     """chi_quasi of the [1, n] arrangement, R_Phi(S^(n+1)) applied to L_Phi,
     through the decomposition of L_Phi: the sum over every piece P_d of
-    ``decompose_ehrhart`` of R_Phi(S^(n+1)) P_d.  A piece has period d and a
-    low degree, so each image costs a small kernel pass.  The main theorem
-    annihilates every piece with d not dividing n+1; none is skipped here,
-    so that ``verify_main_theorem`` checks it."""
+    ``decompose_ehrhart`` of R_Phi(S^N) P_d, N = n+1, each the cached
+    family of P_d for the class of N mod d evaluated at N.  The main theorem
+    annihilates every piece with d not dividing N; none is skipped for that,
+    so that ``verify_main_theorem`` checks it: only a family that is all
+    zero, the kernel's finding for every N of its class, adds nothing."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    op = OperatorPoly(generalized_eulerian(info), stride=n + 1)
-    return sum((apply_S(piece, op) for _, piece in _ehrhart_pieces(info)), QuasiPoly.zero())
+    N = n + 1
+    families = (_family(piece, info, N % piece.period) for _, piece in _ehrhart_pieces(info))
+    images = (_evaluate(fam, N) for fam in families if any(map(any, chain.from_iterable(fam[2]))))
+    return sum(images, QuasiPoly.zero())
 
 
 @lru_cache(maxsize=None)
-def _char_family(info: RootSystemInfo, g: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``(den, K)`` with chi_n(t) = sum_{p,e} K[p][e] t^p N^e / den for every
-    N = n+1 with gcd(N, rho) = g, in integers.  By the main theorem chi_n is
-    R_Phi(Sbar^N) on c, the slot at residue 1 of tilde(L_Phi, g), so
-    chi_n(t) = sum_k a_k c(t - N k), and a Taylor expansion gives
-    K[p][e] = (-1)^e C(p+e, e) c_{p+e} mu_e, mu_e = sum_k a_k k^e for
-    R_Phi = sum_k a_k t^k (Yoshinaga, Tohoku Math. J. 70 (2018))."""
+def _r_phi(info: RootSystemInfo) -> OperatorPoly:
+    """R_Phi as an operator in S, built once per type."""
+    return OperatorPoly(generalized_eulerian(info))
+
+
+@lru_cache(maxsize=None)
+def _family(f: QuasiPoly, info: RootSystemInfo, s: int):
+    """The family of R_Phi(S^N) f for N = s (mod f's period), one kernel pass
+    per (operand value, type, class); at s = 0 no slot rotates, so it is
+    R_Phi(Sbar^N) f for any f."""
+    op = _r_phi(info)
+    table = _moment_table([a for _, a in op.terms], f.period, len(f.rows[0]), s)
+    return _operator_rows(f, table, op.den)
+
+
+@lru_cache(maxsize=None)
+def _char_family(info: RootSystemInfo, g: int):
+    """The family of chi_n for every N = n+1 with gcd(N, rho) = g: by the
+    main theorem chi_n is R_Phi(Sbar^N) on c, the residue-1 slot of
+    tilde(L_Phi, g), as a period-1 operand (Yoshinaga, Tohoku Math. J. 70)."""
     avg = tilde(ehrhart_quasi(info), g)
-    c = avg.rows[1 % avg.period]
-    op = OperatorPoly(generalized_eulerian(info))
-    mu = [sum(a * k**e for k, a in op.terms) for e in range(len(c))]
-    K = tuple(
-        tuple((-1) ** e * math.comb(p + e, e) * c[p + e] * mu[e] for e in range(len(c) - p))
-        for p in range(len(c))
-    )
-    return avg.den * op.den, K
+    return _family(_make(1, avg.den, [avg.rows[1 % avg.period]]), info, 0)
 
 
 @lru_cache(maxsize=None)
 def char_poly(info: RootSystemInfo, n: int) -> RatPoly:
     """The constituent of ``char_quasi`` at residue 1: the family
-    ``_char_family`` of the class g = gcd(n+1, rho), each row of K
-    evaluated at N = n+1 by Horner's rule."""
+    ``_char_family`` of the class g = gcd(n+1, rho) evaluated at N = n+1."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    den, K = _char_family(info, math.gcd(n + 1, info.period_rho))
-    coeffs = []
-    for row in K:
-        acc = 0
-        for v in reversed(row):
-            acc = acc * (n + 1) + v
-        coeffs.append(Fraction(acc, den))
-    return RatPoly(coeffs)
+    return _evaluate(_char_family(info, math.gcd(n + 1, info.period_rho)), n + 1).constituents[0]
 
 
 def oracle_agreement_bound(info: RootSystemInfo, n: int) -> int:
@@ -182,8 +188,8 @@ def oracle_count(info: RootSystemInfo, a: int, b: int, q: int) -> int:
 
 def verify_main_theorem(info: RootSystemInfo, n: int) -> bool:
     """chi_quasi == R_Phi(Sbar^(n+1)) applied to the tilde-average of L at
-    g = gcd(n+1, rho), and the minimal period divides g.  That average has a
-    period dividing g, hence n+1, so Sbar^(n+1) = S^(n+1) on it.
+    g = gcd(n+1, rho), and the minimal period divides g.  The right side is
+    the average's family at class 0, which rotates no slot, at N = n+1.
 
     The average keeps exactly the pieces of L whose order d divides g, i.e.
     n+1, while ``char_quasi`` sums the images of every piece, and S maps
@@ -191,8 +197,7 @@ def verify_main_theorem(info: RootSystemInfo, n: int) -> bool:
     R_Phi(S^(n+1)) annihilates every piece of order d not dividing n+1."""
     g = math.gcd(n + 1, info.period_rho)
     lhs = char_quasi(info, n)
-    averaged = tilde(ehrhart_quasi(info), g)
-    rhs = apply_S(averaged, OperatorPoly(generalized_eulerian(info), stride=n + 1))
+    rhs = _evaluate(_family(tilde(ehrhart_quasi(info), g), info, 0), n + 1)
     return lhs == rhs and g % lhs.period == 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .ratpoly import RatPoly, compose_power, cyclotomic_type
 from .rootsystems import RootSystemInfo, highest_root, weyl_elements
@@ -46,11 +47,13 @@ def eulerian(ell: int) -> RatPoly:
 
 @lru_cache(maxsize=None)
 def generalized_eulerian(info: RootSystemInfo) -> RatPoly:
-    """R_Phi(t) as the cyclotomic-type product over the marks times A_l."""
-    acc = eulerian(info.rank)
+    """R_Phi(t) as the cyclotomic-type product over the marks times A_l, on
+    integers: coefficient j of p [c]_t is a difference of prefix sums of p."""
+    acc = [a.numerator for a in eulerian(info.rank).coeffs]
     for c in info.marks:
-        acc = acc * cyclotomic_type(c)
-    return acc
+        sums = list(accumulate(acc, initial=0))
+        acc = [sums[min(j + 1, len(acc))] - sums[max(j + 1 - c, 0)] for j in range(len(acc) + c - 1)]
+    return RatPoly(acc)
 
 
 def generalized_eulerian_by_weyl(info: RootSystemInfo) -> RatPoly:

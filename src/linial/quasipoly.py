@@ -15,9 +15,8 @@ derives :class:`RatPoly` slots only for callers that ask.
 
 The shift operator acts by ``(S f)(t) = f(t - 1)``; an ``OperatorPoly``
 bundles a coefficient polynomial with a stride m and stands for
-``sum_k a_k S^(m*k)``.  ``apply_S`` realizes that action exactly.
-``_apply_block_product`` applies a product of averaged block sums
-(1/m) [m]_{S^s} in one pass of the same kernel.
+``sum_k a_k S^(m*k)``, which ``apply_S`` applies exactly; one pass of the
+same kernel applies a product of block sums (1/m) [m]_{S^s}.
 """
 
 from __future__ import annotations
@@ -215,33 +214,35 @@ def tilde(f: QuasiPoly, k: int) -> QuasiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Operator application: the hot path of the package.  An operator that
-# shifts by s with weight a, summed over its terms, acts on a source row c as
+# Operator application: the hot path of the package.  An operator
+# sum_k a_k S^(N k) acts on a source row c as
 #
-#     sum a c(t - s) = sum_p t^p sum_e C(p+e, e) c_{p+e} M_e,
-#     M_e = sum a (-s)^e,
+#     sum_k a_k c(t - N k) = sum_p t^p sum_e C(p+e, e) c_{p+e} N^e m_e,
+#     m_e = sum_k a_k (-k)^e,
 #
-# so it enters only through its moment table {d: [M_e]}: the power moments
-# of its terms, one list per class d = s mod n, over one integer
-# denominator.  ``_moment_table`` builds a table from (shift, weight)
-# terms; ``_operator_rows`` then takes binomial-weighted columns once per
-# source row, and a (slot, class) pair costs one pass over the flattened
-# (p, e) terms, all on integers.  A product of operators shifts by the sum
-# of its factors' shifts, so its table is the factors' tables convolved,
-# cyclic in d and binomial in e, by ``_convolve``; one kernel pass applies
-# the whole product, as ``_apply_block_product`` does.
+# and in the class s = N mod n, n the operand's period, term k reads slot
+# s k mod n back, so the image is a polynomial in N per class: its *family*
+# (n, den, rows), rows[r][p][e] the coefficient of t^p N^e in slot r.
+# ``_moment_table`` takes the m_e per class d = s k mod n over one integer
+# denominator; ``_operator_rows`` weights each source row's columns once
+# and builds the family in one integer pass per (slot, class) over the
+# flattened (p, e) terms; ``_evaluate`` sums it against the powers of one
+# N into the canonical ``QuasiPoly``, and ``apply_S`` evaluates at
+# N = stride.  A product of operators has its factors' tables convolved,
+# cyclic in d and binomial in e, by ``_convolve``, and one kernel pass
+# applies it at N = 1, as ``_apply_block_product`` does.
 
 
-def _moment_table(terms, modulus: int, width: int) -> dict[int, list[int]]:
-    """``{d: [M_0, ..., M_(width-1)]}``, M_e = sum a (-s)^e over the integer
-    terms (s, a) with s = d (mod ``modulus``)."""
+def _moment_table(weights, modulus: int, width: int, step: int) -> dict[int, list[int]]:
+    """``{d: [m_0, ..., m_(width-1)]}``, m_e = sum a_k (-k)^e over the
+    integer weights a_k (k the index) with step * k = d (mod ``modulus``)."""
     table: dict[int, list[int]] = {}
-    for s, a in terms:
+    for k, a in enumerate(weights):
         if a:
-            mom = table.setdefault(s % modulus, [0] * width)
+            mom = table.setdefault(step * k % modulus, [0] * width)
             for e in range(width):
                 mom[e] += a
-                a *= -s
+                a *= -k
     return table
 
 
@@ -260,10 +261,9 @@ def _convolve(tables, modulus: int, width: int) -> dict[int, list[int]]:
     return out
 
 
-def _operator_rows(f: QuasiPoly, table: dict[int, list[int]], den: int) -> QuasiPoly:
-    """The operator with moment table ``table`` over ``den`` applied to
-    ``f``, computed at f's period, which is minimal; the result is cut to
-    its own."""
+def _operator_rows(f: QuasiPoly, table: dict[int, list[int]], den: int):
+    """The family of the operator with moment table ``table`` over ``den``
+    applied to ``f``, at f's period n, which is minimal."""
     n, width = f.period, len(f.rows[0])
     # the (p, e) terms with p + e < width, flattened p-major
     pe = [(p, e) for p in range(width) for e in range(width - p)]
@@ -281,8 +281,15 @@ def _operator_rows(f: QuasiPoly, table: dict[int, list[int]], den: int) -> Quasi
                 row = f.rows[j]
                 cols = weighted[j] = [row[p + e] * w for (p, e), w in zip(pe, weights)]
             acc = list(map(add, acc, map(mul, cols, mom)))
-        out.append([sum(acc[bounds[p] : bounds[p + 1]]) for p in range(width)])
-    return _make(n, f.den * den, out)
+        out.append(tuple(tuple(acc[bounds[p] : bounds[p + 1]]) for p in range(width)))
+    return n, f.den * den, tuple(out)
+
+
+def _evaluate(family, N: int) -> QuasiPoly:
+    """The family of ``_operator_rows`` at N, as a canonical QuasiPoly."""
+    n, den, rows = family
+    powers = [N**e for e in range(len(rows[0]))]
+    return _make(n, den, [[sum(map(mul, c, powers)) for c in row] for row in rows])
 
 
 def apply_S(f: QuasiPoly, op: OperatorPoly) -> QuasiPoly:
@@ -291,7 +298,8 @@ def apply_S(f: QuasiPoly, op: OperatorPoly) -> QuasiPoly:
     Computed at f's period n, which is minimal: slot r draws on the
     constituent at slot (r - m k) mod n with its argument shifted by m k.
     """
-    return _operator_rows(f, _moment_table(op.terms, f.period, len(f.rows[0])), op.den)
+    table = _moment_table([a for _, a in op.terms], f.period, len(f.rows[0]), op.stride)
+    return _evaluate(_operator_rows(f, table, op.den), op.stride)
 
 
 def _power_sums(m: int, k: int, width: int) -> dict[int, list[int]]:
@@ -330,7 +338,7 @@ def _apply_block_product(start: QuasiPoly, block: int, strides: list[int]) -> Qu
         factor = {s * a % n: [v * (-s) ** e for e, v in enumerate(p)] for a, p in sums[k].items()}
         tables.append(factor)
     table = _convolve(tables, n, width)
-    return _operator_rows(start, table, block ** len(strides))
+    return _evaluate(_operator_rows(start, table, block ** len(strides)), 1)
 
 
 # ---------------------------------------------------------------------------

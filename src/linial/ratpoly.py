@@ -164,23 +164,26 @@ def cyclotomic_type(c: int) -> RatPoly:
 
 
 def shift_argument(p: RatPoly, a: Fraction | int) -> RatPoly:
-    """Return the Taylor shift ``p(t + a)``, exactly, on integers.
-
-    With D the lcm of p's denominators, D p = sum P_k t^k, deg p = m and
-    a = u/v (v > 0): v^m D p(s + u/v) = Q(v s) for
-    Q(x) = sum P_k v^(m-k) (x + u)^k, built by Horner's rule on integers.
-    Coefficient j of p(t + a) is then Q_j / (v^(m-j) D), divided back once.
-    """
-    a = Fraction(a)
+    """Return the Taylor shift ``p(t + a)``, exactly, on integers."""
     if a == 0 or p.is_zero:
         return p
+    ints, den = _shift_integers(p, a)
+    return RatPoly(Fraction(q, den) for q in ints)
+
+
+def _shift_integers(p: RatPoly, a: Fraction | int) -> tuple[list[int], int]:
+    """``(R, E)`` with p(t + a) = sum R_j t^j / E, E > 0, for p nonzero: with
+    D the lcm of p's denominators, D p = sum P_k t^k, deg p = m and a = u/v
+    (v > 0), v^m D p(s + u/v) = Q(v s) for Q(x) = sum P_k v^(m-k) (x + u)^k,
+    built by Horner's rule on integers; so R_j = Q_j v^j and E = v^m D."""
+    a = Fraction(a)
     u, v, cs = a.numerator, a.denominator, p.coeffs
     den, m = math.lcm(*(c.denominator for c in cs)), len(cs) - 1
     out: list[int] = []
     for k in range(m, -1, -1):  # out <- out * (x + u) + P_k v^(m-k)
         out = [x + u * y for x, y in zip([0] + out, out + [0])]
         out[0] += cs[k].numerator * (den // cs[k].denominator) * v ** (m - k)
-    return RatPoly(Fraction(q, den * v ** (m - j)) for j, q in enumerate(out))
+    return [q * v**j for j, q in enumerate(out)], den * v**m
 
 
 def compose_power(p: RatPoly, m: int) -> RatPoly:

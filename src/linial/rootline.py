@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .ratpoly import RatPoly, shift_argument
+from .ratpoly import RatPoly, _shift_integers
 
 __all__ = ["RootReport", "find_roots", "verify_line"]
 
@@ -187,7 +187,7 @@ def find_roots(p: RatPoly) -> list[complex]:
     p = RatPoly(p.coeffs[first:])
     if p.degree >= 1:
         a = -p.coeffs[-2] / (p.degree * p.leading)  # the centroid of the roots
-        r = _primitive(shift_argument(p, a).coeffs)
+        r = _primitive(_shift_integers(p, a)[0])
         roots += _shifted(_aberth_roots(_squarefree_parts(r)), a)
     return sorted(roots, key=lambda w: (w.imag, w.real))
 
@@ -197,7 +197,7 @@ def verify_line(p: RatPoly, a: Fraction | int) -> RootReport:
     if p.is_zero or p.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
     a = Fraction(a)
-    r = _primitive(shift_argument(p, a).coeffs)  # r(s) = p(s + a)
+    r = _primitive(_shift_integers(p, a)[0])  # r(s) = p(s + a), times E > 0
     parts = _squarefree_parts(r)
     centred = _aberth_roots(parts)
     roots = tuple(sorted(_shifted(centred, a), key=lambda w: (w.imag, w.real)))

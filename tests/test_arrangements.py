@@ -12,7 +12,7 @@ import pytest
 
 from conftest import ALL_TYPES, SMALL_TYPES
 from golden_tables import GOLDEN
-from linial import arrangements
+from linial import arrangements, quasipoly
 from linial.arrangements import (
     char_poly,
     char_quasi,
@@ -119,6 +119,50 @@ def test_piece_images_vanish_exactly_off_the_divisors(label):
         for d, piece in decompose_ehrhart(info):
             vanishes = apply_S(piece, op) == QuasiPoly.zero()
             assert vanishes == ((n + 1) % d != 0), (label, n, d)
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_char_quasi_matches_series_in_every_class(label):
+    # the per-class families evaluated at N = n + 1 against the generating
+    # series: n = 0..2 rho + 1, and N = s + 10^5 rho in every class s mod rho
+    info = catalog(label)
+    rho = info.period_rho
+    ns = list(range(2 * rho + 2)) + [s + 10**5 * rho - 1 for s in range(rho)]
+    for n in ns:
+        assert _same_form(char_quasi(info, n), series_char_quasi(info, n)), (label, n)
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_piece_families_vanish_exactly_off_the_divisors(label):
+    # the family of the piece of order d for the class s of N mod d has all
+    # its rows zero iff d does not divide s: the kernel itself finds the
+    # piece annihilated for every N of the class, nothing filters on d
+    info = catalog(label)
+    for d, piece in decompose_ehrhart(info):
+        assert piece.period == d, (label, d)
+        for s in range(d):
+            _, _, rows = arrangements._family(piece, info, s)
+            zero = not any(v for row in rows for c in row for v in c)
+            assert zero == (s % d != 0), (label, d, s)
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_char_quasi_runs_no_kernel_in_a_seen_class(monkeypatch, label):
+    # once every class of N mod rho has been seen, a new n costs evaluations
+    # of cached families only: no moment table and no kernel pass
+    info = catalog(label)
+    rho = info.period_rho
+    for n in range(rho):
+        char_quasi.__wrapped__(info, n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("char_quasi ran the kernel in a class it has seen")
+
+    for module in (arrangements, quasipoly):
+        for name in ("_moment_table", "_operator_rows"):
+            monkeypatch.setattr(module, name, refuse)
+    for n in (rho, 2 * rho + 1, 10**9 + 7):
+        assert _same_form(char_quasi.__wrapped__(info, n), series_char_quasi(info, n)), (label, n)
 
 
 def test_char_quasi_rejects_negative_n():
@@ -488,14 +532,15 @@ def test_char_family_is_the_interpolant_in_N(label):
     # each coefficient of chi_n has degree <= l in N within a class g, so the
     # l + 1 nodes N = g + j rho, j <= l, computed through the reference
     # determine it, and the node j = l + 1 is to spare; the interpolant must
-    # be the row of K_g / den
+    # be the row of K_g / den, K_g[p][e] the coefficient of t^p N^e in the
+    # family's one slot
     info = catalog(label)
     ell, rho = info.rank, info.period_rho
     for g in sorted_divisors(rho):
         nodes = [g + j * rho for j in range(ell + 2)]
         polys = [reference_char_poly(info, N - 1) for N in nodes]
-        den, K = arrangements._char_family(info, g)
-        assert len(K) == ell + 1, (label, g)
+        period, den, (K,) = arrangements._char_family(info, g)
+        assert period == 1 and len(K) == ell + 1, (label, g)
         for p, row in enumerate(K):
             ys = [q.coeff(p) for q in polys]
             got = _interpolate(nodes[:-1], ys[:-1])
@@ -505,8 +550,8 @@ def test_char_family_is_the_interpolant_in_N(label):
 
 
 def test_char_poly_applies_no_operator_per_n(monkeypatch):
-    # once a class's family is built, a row of the table is one Horner
-    # evaluation per coefficient: no tilde, no operator, no kernel pass
+    # once a class's family is built, a row of the table is one evaluation
+    # of it at N: no tilde, no operator, no moment table, no kernel pass
     info = catalog("E8")
     for g in sorted_divisors(info.period_rho):
         arrangements._char_family(info, g)
@@ -514,7 +559,7 @@ def test_char_poly_applies_no_operator_per_n(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("char_poly built an operator")
 
-    for name in ("apply_S", "OperatorPoly", "tilde", "ehrhart_quasi"):
+    for name in ("_moment_table", "_operator_rows", "OperatorPoly", "tilde", "ehrhart_quasi"):
         monkeypatch.setattr(arrangements, name, refuse)
     for n in (0, 1, 59, 60, 10**9 + 7):
         assert char_poly.__wrapped__(info, n) == reference_char_poly(info, n)
