@@ -90,11 +90,13 @@ def _same_form(f, g):
 def test_char_quasi_series_matches_operator_application():
     # the piecewise path against R_Phi(S^(n+1)) applied to all of L_Phi at
     # once and against the generating series R_Phi(x^(n+1)) / prod (1 - x^c),
-    # in canonical (period, den, rows) form
+    # in canonical (period, den, rows) form: n = 0..2 rho + 1, and
+    # N = n + 1 = s + 10^5 rho in every class s mod rho of the families
     for label in ALL_TYPES:
         info = catalog(label)
+        rho = info.period_rho
         L, a = ehrhart_quasi(info), generalized_eulerian(info)
-        for n in range(2 * info.period_rho + 2):
+        for n in [*range(2 * rho + 2), *(s + 10**5 * rho - 1 for s in range(rho))]:
             got = char_quasi(info, n)
             assert _same_form(got, apply_S(L, OperatorPoly(a, n + 1))), (label, n)
             assert _same_form(got, series_char_quasi(info, n)), (label, n)
@@ -119,17 +121,6 @@ def test_piece_images_vanish_exactly_off_the_divisors(label):
         for d, piece in decompose_ehrhart(info):
             vanishes = apply_S(piece, op) == QuasiPoly.zero()
             assert vanishes == ((n + 1) % d != 0), (label, n, d)
-
-
-@pytest.mark.parametrize("label", ALL_TYPES)
-def test_char_quasi_matches_series_in_every_class(label):
-    # the per-class families evaluated at N = n + 1 against the generating
-    # series: n = 0..2 rho + 1, and N = s + 10^5 rho in every class s mod rho
-    info = catalog(label)
-    rho = info.period_rho
-    ns = list(range(2 * rho + 2)) + [s + 10**5 * rho - 1 for s in range(rho)]
-    for n in ns:
-        assert _same_form(char_quasi(info, n), series_char_quasi(info, n)), (label, n)
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)
