@@ -77,7 +77,7 @@ def char_quasi(info: RootSystemInfo, n: int) -> QuasiPoly:
     N = n + 1
     families = (_family(piece, info, N % piece.period) for _, piece in _ehrhart_pieces(info))
     images = (_evaluate(fam, N) for fam in families if any(map(any, chain.from_iterable(fam[2]))))
-    return sum(images, QuasiPoly.zero())
+    return sum(images, next(images, QuasiPoly.zero()))
 
 
 @lru_cache(maxsize=None)
@@ -204,22 +204,25 @@ def verify_main_theorem(info: RootSystemInfo, n: int) -> bool:
 def verify_corollary1(info: RootSystemInfo, n: int) -> bool:
     """chi_quasi(n) from chi_quasi(g - 1), g = gcd(n+1, rho), through the
     block product prod_j (1/m-hat) [m-hat]_{S^(c_j g)}, m-hat = (n+1)/g, applied
-    in one moment pass (``_apply_block_product``)."""
+    in one moment pass (``_apply_block_product``).  That pass needs the
+    period of chi_quasi(g - 1) to divide g; where it does not, the check fails."""
     g = math.gcd(n + 1, info.period_rho)
-    mhat = (n + 1) // g
     base = char_quasi(info, g - 1)
-    built = _apply_block_product(base, mhat, [c * g for c in info.marks])
+    if g % base.period:
+        return False
+    built = _apply_block_product(base, (n + 1) // g, [c * g for c in info.marks])
     return built == char_quasi(info, n)
 
 
 def gcd_prime_polynomial(info: RootSystemInfo, n: int) -> RatPoly:
     """For gcd(n+1, rho) = 1: the polynomial
-    prod_j (1/(n+1)) [n+1]_{S^{c_j}} applied to t^l in one moment pass, which
-    must equal the (period-1) characteristic quasi-polynomial.  Raises
+    prod_j (1/(n+1)) [n+1]_{S^{c_j}} applied to the integer form of t^l in
+    one moment pass, which must equal the (period-1) characteristic
+    quasi-polynomial (Athanasiadis, J. Algebraic Combin. 10).  Raises
     PeriodConsistencyError if the product is not a polynomial."""
     if math.gcd(n + 1, info.period_rho) != 1:
         raise ValueError("requires gcd(n+1, rho) = 1")
-    start = QuasiPoly.from_poly(RatPoly.monomial(info.rank))
+    start = _make(1, 1, [[0] * info.rank + [1]])
     built = _apply_block_product(start, n + 1, list(info.marks))
     if built.period != 1:
         raise PeriodConsistencyError(f"block product has period {built.period}, not 1")
@@ -230,15 +233,14 @@ def verify_rad_theorem(info: RootSystemInfo, n: int) -> bool:
     """Characteristic polynomial at level gcd(n+1, rho) - 1 from the one at
     level gcd(n+1, rad(rho)) - 1 through the block product
     prod_j (1/eta) [eta]_{S^(c_j g_rad)}, eta = g / g_rad, applied in one
-    moment pass.  At eta = 1 both sides are one polynomial and this holds
-    trivially; ``linial verify`` then omits the check."""
+    moment pass, on the integer forms ``_char_family`` at N = g and g_rad.
+    At eta = 1 both sides are one polynomial and this holds trivially;
+    ``linial verify`` then omits the check."""
     g = math.gcd(n + 1, info.period_rho)
     gr = math.gcd(n + 1, info.rad_rho)
-    eta = g // gr
-    target = char_poly(info, g - 1)
-    start = QuasiPoly.from_poly(char_poly(info, gr - 1))
-    built = _apply_block_product(start, eta, [c * gr for c in info.marks])
-    return built.period == 1 and built.constituents[0] == target
+    target = _evaluate(_char_family(info, g), g)
+    start = _evaluate(_char_family(info, gr), gr)
+    return _apply_block_product(start, g // gr, [c * gr for c in info.marks]) == target
 
 
 def verify_shift_relation(info: RootSystemInfo, n: int, k: int, q: int) -> bool:

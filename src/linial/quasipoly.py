@@ -15,14 +15,17 @@ derives :class:`RatPoly` slots only for callers that ask.
 
 The shift operator acts by ``(S f)(t) = f(t - 1)``; an ``OperatorPoly``
 bundles a coefficient polynomial with a stride m and stands for
-``sum_k a_k S^(m*k)``, which ``apply_S`` applies exactly; one pass of the
-same kernel applies a product of block sums (1/m) [m]_{S^s}.
+``sum_k a_k S^(m*k)``, which ``apply_S`` applies exactly.  One pass of
+the same kernel applies a product of block sums (1/m) [m]_{S^s} whose
+strides the operand's period divides, its moments from the cumulants of
+a sum of uniform shifts.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, zip_longest
 from operator import add, mul
 from typing import Iterable
@@ -228,9 +231,9 @@ def tilde(f: QuasiPoly, k: int) -> QuasiPoly:
 # and builds the family in one integer pass per (slot, class) over the
 # flattened (p, e) terms; ``_evaluate`` sums it against the powers of one
 # N into the canonical ``QuasiPoly``, and ``apply_S`` evaluates at
-# N = stride.  A product of operators has its factors' tables convolved,
-# cyclic in d and binomial in e, by ``_convolve``, and one kernel pass
-# applies it at N = 1, as ``_apply_block_product`` does.
+# N = stride.  ``_apply_block_product`` applies a product of block sums
+# at N = 1 from one class-0 table: the moments of a sum of independent
+# uniform shifts, taken from its cumulants, with no loop over the factors.
 
 
 def _moment_table(weights, modulus: int, width: int, step: int) -> dict[int, list[int]]:
@@ -244,21 +247,6 @@ def _moment_table(weights, modulus: int, width: int, step: int) -> dict[int, lis
                 mom[e] += a
                 a *= -k
     return table
-
-
-def _convolve(tables, modulus: int, width: int) -> dict[int, list[int]]:
-    """The table of the product of operators with these tables: each step
-    sums C(e, i) X_i Y_(e-i) over the class pairs adding up to d (mod ``modulus``)."""
-    binom = [[math.comb(e, i) for i in range(e + 1)] for e in range(width)]
-    out = {0: [int(e == 0) for e in range(width)]}
-    for y in tables:
-        x, out = out, {}
-        for d, a in x.items():
-            for d2, b in y.items():
-                mom = out.setdefault((d + d2) % modulus, [0] * width)
-                for e, row in enumerate(binom):
-                    mom[e] += sum(map(mul, row, map(mul, a, b[e::-1])))
-    return out
 
 
 def _operator_rows(f: QuasiPoly, table: dict[int, list[int]], den: int):
@@ -302,43 +290,48 @@ def apply_S(f: QuasiPoly, op: OperatorPoly) -> QuasiPoly:
     return _evaluate(_operator_rows(f, table, op.den), op.stride)
 
 
-def _power_sums(m: int, k: int, width: int) -> dict[int, list[int]]:
-    """``{a: [P_e for e < width]}``, P_e = sum of u^e over u < m, u = a (mod k),
-    in O(width^2) per class for any m: with u = a + k j, j < J, P_e is
-    sum_i C(e, i) a^(e-i) k^i S_i, and S_i = sum_{j<J} j^i solves
-    J^(i+1) = sum_{t<=i} C(i+1, t) S_t."""
-    C = [[math.comb(e, i) for i in range(e + 1)] for e in range(width + 1)]
-    out = {}
-    for a in range(min(k, m)):
-        J, S = (m - a + k - 1) // k, []
-        for i in range(width):
-            S.append((J ** (i + 1) - sum(c * v for c, v in zip(C[i + 1], S))) // (i + 1))
-        out[a] = [
-            sum(c * a ** (e - i) * k**i * S[i] for i, c in enumerate(C[e])) for e in range(width)
-        ]
-    return out
+@lru_cache(maxsize=None)
+def _uniform_cumulants(width: int) -> tuple[int, tuple[int, ...]]:
+    """``(D, c)`` with kappa_k = c[k] (m^k - 1) / D for 0 < k < width, the
+    cumulants of u uniform on [0, m) for every m: from
+    log((e^(mz) - 1) / (m (e^z - 1))), kappa_k = B_k (m^k - 1) / k with the
+    Bernoulli numbers B_1 = +1/2, B_2 = 1/6, B_3 = 0, ...; c[0] = 0."""
+    B = [Fraction(1)]
+    for k in range(1, width):
+        B.append(1 - sum(math.comb(k, j) * b / (k - j + 1) for j, b in enumerate(B)))
+    kappa = [Fraction(0)] + [b / k for k, b in enumerate(B) if k]
+    D = math.lcm(*(x.denominator for x in kappa))
+    return D, tuple(int(x * D) for x in kappa)
 
 
 def _apply_block_product(start: QuasiPoly, block: int, strides: list[int]) -> QuasiPoly:
     """Apply prod_j (1/block) [block]_{S^{s_j}} to ``start`` in one kernel pass.
 
-    The product shifts by sum_j s_j u_j, u_j < block independent, so its
-    moment table is the factors' tables convolved.  With n = start's period,
-    factor j moves class a mod n' = n / gcd(s_j, n) of the power sums of
-    u < block to class s_j a mod n, times (-s_j)^e; sums are kept per n'.
+    Requires start's period to divide every stride s_j (ValueError
+    otherwise), so the shift X = sum_j s_j u_j, u_j uniform on [0, block)
+    and independent, moves no slot: the table is class 0 alone.  Its
+    moments mu_e of -X follow from kappa_k(-X) = (-1)^k (sum_j s_j^k)
+    kappa_k(u) by mu_e = sum_k C(e-1, k-1) kappa_k mu_(e-k), in integers
+    M_e = D^e mu_e; the table holds block^len(strides) mu_e, a sum over
+    every u, so an integer.
     """
+    n, width = start.period, len(start.rows[0])
+    if any(s % n for s in strides):
+        raise ValueError(f"period {n} does not divide every stride of {strides}")
     if block == 1:
         return start
-    n, width = start.period, len(start.rows[0])
-    sums, tables = {}, []
-    for s in strides:
-        k = n // math.gcd(s, n)
-        if k not in sums:
-            sums[k] = _power_sums(block, k, width)
-        factor = {s * a % n: [v * (-s) ** e for e, v in enumerate(p)] for a, p in sums[k].items()}
-        tables.append(factor)
-    table = _convolve(tables, n, width)
-    return _evaluate(_operator_rows(start, table, block ** len(strides)), 1)
+    D, c = _uniform_cumulants(width)
+    # K[k] = D^k kappa_k(-X)
+    K = [0] + [
+        (-D) ** (k - 1) * -c[k] * (block**k - 1) * sum(s**k for s in strides)
+        for k in range(1, width)
+    ]
+    M = [1]
+    for e in range(1, width):
+        M.append(sum(math.comb(e - 1, k - 1) * K[k] * M[e - k] for k in range(1, e + 1)))
+    den = block ** len(strides)
+    moments = [v * den // D**e for e, v in enumerate(M)]
+    return _evaluate(_operator_rows(start, {0: moments}, den), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ class RatPoly:
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        # kept as it is: Fraction(c) of a Fraction takes the slow numbers.Rational path
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -12,7 +12,9 @@ is an independent reference for ``arrangements.char_quasi``: R_Phi(S^(n+1))
 L_Phi is the quasi-polynomial of R_Phi(x^(n+1)) / prod (1 - x^{c_i}).
 ``reference_char_poly`` applies R_Phi(S^(n+1)) to one slot of
 tilde(L_Phi, gcd(n+1, rho)) for each n, where ``arrangements.char_poly``
-evaluates one integer family per class of n.
+evaluates one integer family per class of n.  ``power_sum_block_product``
+applies a product of block sums one factor at a time from the power sums
+of the block, where the package takes the cumulants of their sum.
 """
 
 import math
@@ -96,6 +98,31 @@ def reference_char_poly(info, n: int) -> RatPoly:
     slot = _raw(1, avg.den, (avg.rows[1 % avg.period],))
     op = OperatorPoly(generalized_eulerian(info), stride=n + 1)
     return apply_S(slot, op).constituents[0]
+
+
+def power_sum_block_product(start: QuasiPoly, block: int, strides) -> QuasiPoly:
+    """prod_j (1/m) [m]_{S^{s_j}} on ``start``, m = ``block``, for a start
+    whose period divides every stride, at any m: one factor at a time, each
+    slot c by Taylor's formula, (1/m) sum_{u<m} c(t - s u) =
+    sum_p t^p sum_e C(p+e, e) c_{p+e} (-s)^e P_e / m, with the power sums
+    P_e = sum_{u<m} u^e from m^(e+1) = sum_{i<=e} C(e+1, i) P_i.  The
+    factor-by-factor ``apply_S`` chain would enumerate all m terms."""
+    width = len(start.rows[0])
+    P: list[int] = []
+    for e in range(width):
+        lower = sum(math.comb(e + 1, i) * v for i, v in enumerate(P))
+        P.append((block ** (e + 1) - lower) // (e + 1))
+    slots = [[Fraction(v, start.den) for v in row] for row in start.rows]
+    for s in strides:
+        mom = [Fraction((-s) ** e * v, block) for e, v in enumerate(P)]
+        slots = [
+            [
+                sum(math.comb(p + e, e) * c[p + e] * mom[e] for e in range(width - p))
+                for p in range(width)
+            ]
+            for c in slots
+        ]
+    return QuasiPoly(start.period, [RatPoly(c) for c in slots])
 
 
 def sigma_pow(f: QuasiPoly, k: int) -> QuasiPoly:

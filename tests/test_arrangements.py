@@ -26,10 +26,10 @@ from linial.arrangements import (
 )
 from linial.ehrhart import PeriodConsistencyError, decompose_ehrhart, ehrhart_quasi
 from linial.eulerian import generalized_eulerian
-from linial.quasipoly import OperatorPoly, QuasiPoly, apply_S, sorted_divisors
+from linial.quasipoly import OperatorPoly, QuasiPoly, apply_S, sorted_divisors, tilde
 from linial.ratpoly import RatPoly, cyclotomic_type, render_poly
 from linial.rootsystems import catalog, positive_roots
-from reference_algebra import reference_char_poly, series_char_quasi
+from reference_algebra import power_sum_block_product, reference_char_poly, series_char_quasi
 
 _CHUNK = 1 << 21
 
@@ -348,15 +348,38 @@ def reference_block_product(start, block, strides):
 @pytest.mark.parametrize("label", ALL_TYPES)
 def test_block_product_matches_reference_alcove(label):
     # one moment pass against the factor-by-factor chain, on L_Phi (period
-    # rho) and on zero: strides prime to rho, mixed, and multiples of rho
+    # rho), on zero and on the averages tilde(L_Phi, g): strides prime to
+    # rho, mixed, and multiples of rho.  A start whose period does not divide
+    # every stride is refused; at m = 10^6 + 1 the reference takes power sums
     info = catalog(label)
     rho = info.period_rho
+    L = ehrhart_quasi(info)
     stride_sets = ([1, 2, 3], [5, 7, rho], [c * rho for c in info.marks])
-    for f in (ehrhart_quasi(info), QuasiPoly.zero()):
-        for m in (1, 2, 3, 5):
-            for strides in stride_sets:
-                got = arrangements._apply_block_product(f, m, strides)
-                assert got == reference_block_product(f, m, strides), (m, strides)
+    cases = [(f, m, s) for f in (L, QuasiPoly.zero()) for m in (1, 2, 3, 5) for s in stride_sets]
+    big = (1, 2, 3, 5, 10**6 + 1)
+    cases += [(tilde(L, 1), m, s) for m in big for s in stride_sets]
+    cases += [
+        (tilde(L, g), m, [c * g for c in info.marks]) for g in sorted_divisors(rho) for m in big
+    ]
+    for f, m, strides in cases:
+        if any(s % f.period for s in strides):
+            with pytest.raises(ValueError, match="does not divide"):
+                arrangements._apply_block_product(f, m, strides)
+            continue
+        got = arrangements._apply_block_product(f, m, strides)
+        reference = reference_block_product if m < 10**6 else power_sum_block_product
+        assert got == reference(f, m, strides), (f.period, m, strides)
+
+
+def test_power_sum_reference_matches_the_chain():
+    # the large-block reference agrees with the factor-by-factor chain
+    for label in ("A3", "B4", "G2", "F4", "E6"):
+        info = catalog(label)
+        L = ehrhart_quasi(info)
+        for g in sorted_divisors(info.period_rho):
+            for m in (1, 2, 3, 7):
+                args = (tilde(L, g), m, [c * g for c in info.marks])
+                assert power_sum_block_product(*args) == reference_block_product(*args)
 
 
 def test_block_products_of_the_identities_are_bit_identical(monkeypatch):
@@ -392,7 +415,9 @@ def test_block_products_at_large_n():
 
 WRONG_BLOCK_PRODUCTS = {
     "block+1": lambda real, start, m, strides: real(start, m + 1, strides),
-    "stride+1": lambda real, start, m, strides: real(start, m, [s + 1 for s in strides]),
+    "stride+period": lambda real, start, m, strides: real(
+        start, m, [s + start.period for s in strides]
+    ),
 }
 
 # n per check: corollary 1 at m-hat = 2, the rad theorem, gcd-prime at n + 1 = 5
@@ -413,8 +438,24 @@ def test_identity_checks_fail_on_a_wrong_block_product(monkeypatch, label, wrong
     assert not verify_corollary1(info, n_cor)
     # E6 has rho = rad(rho), so eta = 1 at every n: its rad theorem applies
     # no factor whose stride could be wrong
-    assert verify_rad_theorem(info, n_rad) == (label == "E6" and wrong == "stride+1")
+    assert verify_rad_theorem(info, n_rad) == (label == "E6" and wrong == "stride+period")
     assert gcd_prime_polynomial(info, n_prime) != char_poly(info, n_prime)
+
+
+def test_corollary1_fails_on_a_start_whose_period_does_not_divide_g(monkeypatch):
+    # the block product needs the period of chi_quasi(g - 1) to divide every
+    # stride c_j g; a start of period 3 at g = 4 fails the check, not raising
+    info = catalog("F4")
+    n, g = 7, 4
+    assert verify_corollary1(info, n)
+    real = char_quasi
+    periodic = QuasiPoly(3, (RatPoly.zero(), RatPoly.one(), RatPoly.zero()))
+    wrong = real(info, g - 1) + periodic
+    assert g % wrong.period
+    monkeypatch.setattr(
+        arrangements, "char_quasi", lambda i, k: wrong if k == g - 1 else real(i, k)
+    )
+    assert not verify_corollary1(info, n)
 
 
 def test_gcd_prime_polynomial_refuses_a_periodic_product(monkeypatch):
