@@ -232,8 +232,8 @@ def tilde(f: QuasiPoly, k: int) -> QuasiPoly:
 # flattened (p, e) terms; ``_evaluate`` sums it against the powers of one
 # N into the canonical ``QuasiPoly``, and ``apply_S`` evaluates at
 # N = stride.  ``_apply_block_product`` applies a product of block sums
-# at N = 1 from one class-0 table: the moments of a sum of independent
-# uniform shifts, taken from its cumulants, with no loop over the factors.
+# at N = 1 from one class-0 table: the moments of a sum of uniform shifts,
+# from its cumulants, in which the strides enter by their power sums.
 
 
 def _moment_table(weights, modulus: int, width: int, step: int) -> dict[int, list[int]]:
