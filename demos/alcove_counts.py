@@ -8,7 +8,7 @@ with the type's coefficient vector (c_1, ..., c_l).  We compute it
   2. as a quasi-polynomial interpolated from the series of the rational
      generating function, and
   3. re-assembled from its decomposition by cyclotomic order d, each piece
-     projected from L's slots with Ramanujan sums,
+     the average tilde(L, d) less the pieces of the proper divisors of d,
 
 and confirm all three agree.  The decomposition also exposes the period
 structure: the piece for divisor d has period d and a predictable degree.

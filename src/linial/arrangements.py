@@ -43,8 +43,7 @@ from .quasipoly import (
     _apply_block_product,
     _evaluate,
     _make,
-    _moment_table,
-    _operator_rows,
+    _operator_family,
     tilde,
 )
 from .ratpoly import RatPoly
@@ -91,9 +90,7 @@ def _family(f: QuasiPoly, info: RootSystemInfo, s: int):
     """The family of R_Phi(S^N) f for N = s (mod f's period), one kernel pass
     per (operand value, type, class); at s = 0 no slot rotates, so it is
     R_Phi(Sbar^N) f for any f."""
-    op = _r_phi(info)
-    table = _moment_table([a for _, a in op.terms], f.period, len(f.rows[0]), s)
-    return _operator_rows(f, table, op.den)
+    return _operator_family(f, _r_phi(info), s)
 
 
 @lru_cache(maxsize=None)

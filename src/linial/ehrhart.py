@@ -9,12 +9,12 @@ into its quasi-polynomial: all p residue classes, p the period, are
 Newton-interpolated together, lane-wise, on integers over one common
 denominator, with a spare node per class as a consistency check.
 
-L splits into one piece per cyclotomic order d dividing a mark: the part
-of L whose terms zeta^t P(t) have zeta a primitive d-th root of unity.  It
-is an integer projection of L's slots: slot r of the piece is
-(1/d) sum_{a < d} c_d(r - a) tilde(L, d)[a], with c_d(k) the Ramanujan sum
-over the primitive d-th roots of unity.  The pieces are what
-``arrangements.char_quasi`` applies R_Phi(S^(n+1)) to, one at a time.
+L splits into one piece P_d per cyclotomic order d dividing a mark: the
+part of L whose terms zeta^t P(t) have zeta a primitive d-th root of unity.
+Averaging over sigma^e keeps the pieces whose order divides e, so
+tilde(L, e) = sum_{d | e} P_d, and Moebius inversion of that sum gives each
+piece.  The pieces are what ``arrangements.char_quasi`` applies
+R_Phi(S^(n+1)) to, one at a time.
 """
 
 from __future__ import annotations
@@ -131,13 +131,6 @@ def series_to_quasipoly(
 # -- decomposition by cyclotomic order ----------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _ramanujan(d: int, k: int) -> int:
-    """c_d(k), the sum of zeta^k over the primitive d-th roots of unity,
-    from the recursion sum_{e | d} c_e(k) = d [d | k]."""
-    return d * (k % d == 0) - sum(_ramanujan(e, k) for e in sorted_divisors(d)[:-1])
-
-
 def decompose_ehrhart(info: RootSystemInfo) -> list[tuple[int, QuasiPoly]]:
     """Split L into one quasi-polynomial piece per cyclotomic order d,
     where d runs over the divisors of the marks (= the distinct marks for
@@ -146,26 +139,26 @@ def decompose_ehrhart(info: RootSystemInfo) -> list[tuple[int, QuasiPoly]]:
     dividing d and degree at most (number of marks d divides) - 1, and the
     pieces sum pointwise to L.
 
-    Each such d divides rho, and with T = tilde(L, d), the average of L's
-    slots over each class a mod d, slot r of the piece is
-    (1/d) sum_{a < d} c_d(r - a) T[a], c_d the Ramanujan sum."""
+    Each such d divides rho, and tilde(L, d), the average of L's slots over
+    each class mod d, is the sum of the pieces whose order divides d; so
+    the piece for d is tilde(L, d) less the pieces of the proper divisors
+    of d, taken in ascending order of d."""
     return list(_ehrhart_pieces(info))
 
 
 @lru_cache(maxsize=None)
 def _ehrhart_pieces(info: RootSystemInfo) -> tuple[tuple[int, QuasiPoly], ...]:
-    """The (d, piece) pairs of ``decompose_ehrhart``, cached per type."""
+    """The (d, piece) pairs of ``decompose_ehrhart``, cached per type.  The
+    orders are closed under taking divisors, so every piece subtracted is
+    built before it is needed."""
     L = ehrhart_quasi(info)
-    parts = []
+    pieces: dict[int, QuasiPoly] = {}
     for d in sorted({e for c in info.marks for e in sorted_divisors(c)}):
-        t = tilde(L, d)
-        cols = list(zip(*(t.rows[a % t.period] for a in range(d))))
-        cd = [_ramanujan(d, k) for k in range(d)]
-        rows = [
-            [sum(cd[(r - a) % d] * v for a, v in enumerate(col)) for col in cols] for r in range(d)
-        ]
-        parts.append((d, _make(d, t.den * d, rows)))
-    return tuple(parts)
+        piece = tilde(L, d)
+        for e in sorted_divisors(d)[:-1]:
+            piece -= pieces[e]
+        pieces[d] = piece
+    return tuple(pieces.items())
 
 
 def cross_type_relation_check(

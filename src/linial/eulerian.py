@@ -3,10 +3,11 @@
 Convention: A_l(t) = sum over permutations of {1..l} of t^(asc+1), so
 A_0 = 1, A_1 = t, A_2 = t + t^2, A_3 = t + 4t^2 + t^3, and A_l(1) = l!.
 
-The generalized polynomial R_Phi is computed two independent ways:
-as the product [c_0]_t [c_1]_t ... [c_l]_t * A_l(t) over the marks, and as
-(1/f) * sum over the Weyl group of t^asc(w) with
-asc(w) = sum of c_i over the i in 0..l with w(alpha_i) > 0.
+The generalized polynomial R_Phi is the product
+[c_0]_t [c_1]_t ... [c_l]_t * A_l(t) over the marks.  It equals
+(1/f) * sum over the Weyl group of t^asc(w), with asc(w) the sum of the c_i
+over the i in 0..l with w(alpha_i) > 0; the tests keep that sum as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .ratpoly import RatPoly, compose_power, cyclotomic_type
-from .rootsystems import RootSystemInfo, highest_root, weyl_elements
+from .rootsystems import RootSystemInfo
 
 __all__ = [
     "eulerian",
     "generalized_eulerian",
-    "generalized_eulerian_by_weyl",
     "eulerian_congruence_check",
     "generalized_congruence_operator",
 ]
@@ -54,27 +54,6 @@ def generalized_eulerian(info: RootSystemInfo) -> RatPoly:
         sums = list(accumulate(acc, initial=0))
         acc = [sums[min(j + 1, len(acc))] - sums[max(j + 1 - c, 0)] for j in range(len(acc) + c - 1)]
     return RatPoly(acc)
-
-
-def generalized_eulerian_by_weyl(info: RootSystemInfo) -> RatPoly:
-    """R_Phi(t) summed over the Weyl group: (1/f) sum_w t^asc(w).
-
-    The mark attached to alpha_i must follow the simple-root numbering, so
-    the coefficient vector is (1, highest-root coordinates), not the sorted
-    marks tuple.
-    """
-    cs = (1,) + highest_root(info)
-    counts: dict[int, int] = {}
-    for el in weyl_elements(info):
-        a = 0
-        for c, positive in zip(cs, el.signs):
-            if positive:
-                a += c
-        counts[a] = counts.get(a, 0) + 1
-    coeffs = [Fraction(0)] * (max(counts) + 1)
-    for a, cnt in counts.items():
-        coeffs[a] = Fraction(cnt, info.index_f)
-    return RatPoly(coeffs)
 
 
 def eulerian_congruence_check(ell: int, n: int) -> bool:

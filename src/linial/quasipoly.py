@@ -153,18 +153,18 @@ def _make(period: int, den: int, rows) -> QuasiPoly:
 
 class OperatorPoly:
     """``sum_k coeffs[k] * S^(stride*k)`` — a polynomial in a power of S,
-    also held, converted once, as ``sum a S^s / den`` over the integer (s, a)
-    in ``terms``; equality, hashing and repr read only coeffs and stride."""
+    also held, converted once, as the integer weights a_k = coeffs[k] * den;
+    equality, hashing and repr read only coeffs and stride."""
 
-    __slots__ = ("coeffs", "stride", "terms", "den")
+    __slots__ = ("coeffs", "stride", "weights", "den")
 
     def __init__(self, coeffs: RatPoly, stride: int = 1):
         if stride < 1:
             raise ValueError("stride must be >= 1")
         cs = coeffs.coeffs
         den = math.lcm(*(c.denominator for c in cs), 1)
-        terms = tuple((stride * k, c.numerator * (den // c.denominator)) for k, c in enumerate(cs))
-        _set(self, coeffs, stride, terms, den)
+        weights = tuple(c.numerator * (den // c.denominator) for c in cs)
+        _set(self, coeffs, stride, weights, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorPoly is immutable")
@@ -229,7 +229,8 @@ def tilde(f: QuasiPoly, k: int) -> QuasiPoly:
 # ``_moment_table`` takes the m_e per class d = s k mod n over one integer
 # denominator; ``_operator_rows`` weights each source row's columns once
 # and builds the family in one integer pass per (slot, class) over the
-# flattened (p, e) terms; ``_evaluate`` sums it against the powers of one
+# flattened (p, e) terms; ``_operator_family`` is the two for an
+# ``OperatorPoly``; ``_evaluate`` sums a family against the powers of one
 # N into the canonical ``QuasiPoly``, and ``apply_S`` evaluates at
 # N = stride.  ``_apply_block_product`` applies a product of block sums
 # at N = 1 from one class-0 table: the moments of a sum of uniform shifts,
@@ -273,6 +274,13 @@ def _operator_rows(f: QuasiPoly, table: dict[int, list[int]], den: int):
     return n, f.den * den, tuple(out)
 
 
+def _operator_family(f: QuasiPoly, op: OperatorPoly, s: int):
+    """The family of sum_k a_k S^(N k) on f, a_k the coefficients of op,
+    for every N = s (mod f's period); op's own stride is not read."""
+    table = _moment_table(op.weights, f.period, len(f.rows[0]), s)
+    return _operator_rows(f, table, op.den)
+
+
 def _evaluate(family, N: int) -> QuasiPoly:
     """The family of ``_operator_rows`` at N, as a canonical QuasiPoly."""
     n, den, rows = family
@@ -286,8 +294,7 @@ def apply_S(f: QuasiPoly, op: OperatorPoly) -> QuasiPoly:
     Computed at f's period n, which is minimal: slot r draws on the
     constituent at slot (r - m k) mod n with its argument shifted by m k.
     """
-    table = _moment_table([a for _, a in op.terms], f.period, len(f.rows[0]), op.stride)
-    return _evaluate(_operator_rows(f, table, op.den), op.stride)
+    return _evaluate(_operator_family(f, op, op.stride), op.stride)
 
 
 @lru_cache(maxsize=None)

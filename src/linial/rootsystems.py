@@ -5,8 +5,7 @@ matrix.  Positive roots are the closure of the simple roots under the simple
 reflections; the marks are 1 and the coefficients of the highest root.  The
 Coxeter number, the period rho = lcm of the marks, its radical and the index
 of connection f (the number of marks equal to 1; Bourbaki, Lie Groups,
-Ch. VI) follow from the marks.  Weyl groups (small rank only) are the
-breadth-first closure of the identity under the simple reflections.
+Ch. VI) follow from the marks, and so does the order of the Weyl group.
 
 Coordinates are always in the simple-root basis: a root is the integer
 vector (m_1, ..., m_l) with alpha = sum m_j alpha_j, numbered as in
@@ -24,12 +23,9 @@ from typing import NamedTuple
 
 __all__ = [
     "RootSystemInfo",
-    "WeylElement",
-    "GroupTooLargeError",
     "catalog",
     "positive_roots",
     "highest_root",
-    "weyl_elements",
     "weyl_group_order",
     "CLI_LABELS",
 ]
@@ -47,15 +43,6 @@ class RootSystemInfo(NamedTuple):
     rad_rho: int
     cartan: tuple[tuple[int, ...], ...]
     index_f: int
-
-
-class WeylElement(NamedTuple):
-    simple_images: tuple[tuple[int, ...], ...]
-    signs: tuple[bool, ...]  # sign of w(alpha_i), i = 0..l (index 0: -highest root)
-
-
-class GroupTooLargeError(RuntimeError):
-    pass
 
 
 _MULTIPLE_BOND = {"B": (-2, -1, 2), "C": (-1, -2, 2), "F": (1, 2, 2), "G": (0, 1, 3)}
@@ -119,15 +106,6 @@ def catalog(label: str) -> RootSystemInfo:
     )
 
 
-def _reflect(beta: tuple[int, ...], j: int, cartan) -> tuple[int, ...]:
-    c = sum(b * cartan[i][j] for i, b in enumerate(beta) if b)
-    if not c:
-        return beta
-    out = list(beta)
-    out[j] -= c
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _closure(cartan) -> tuple[tuple[int, ...], ...]:
     """The positive roots of ``cartan`` in (height, coords) order, so the
@@ -164,46 +142,3 @@ def weyl_group_order(info: RootSystemInfo) -> int:
     """|W| = l! * f * c_1 * ... * c_l (Bourbaki, Lie Groups, Ch. VI), with f
     the index of connection and c_i the marks of the highest root."""
     return math.factorial(info.rank) * info.index_f * math.prod(info.marks)
-
-
-# Largest Weyl group that ``weyl_elements`` enumerates.
-_WEYL_CAP = 200000
-
-
-@lru_cache(maxsize=None)
-def weyl_elements(info: RootSystemInfo) -> tuple[WeylElement, ...]:
-    """Every Weyl group element, as the tuple of images of the simple roots,
-    by breadth-first closure; raises GroupTooLargeError, before enumerating,
-    when the group order exceeds ``_WEYL_CAP``.
-
-    Each element also records the signs of w(alpha_i) for i = 0..l, where
-    alpha_0 = -(highest root).
-    """
-    order = weyl_group_order(info)
-    if order > _WEYL_CAP:
-        raise GroupTooLargeError(f"Weyl group of {info.label} has order {order} > {_WEYL_CAP}")
-    rank = info.rank
-    cartan = info.cartan
-    theta = highest_root(info)
-    identity = tuple(tuple(int(i == j) for i in range(rank)) for j in range(rank))
-    seen: dict[tuple, None] = {identity: None}
-    queue = [identity]
-    while queue:
-        nxt = []
-        for w in queue:
-            for j in range(rank):
-                new = tuple(_reflect(v, j, cartan) for v in w)
-                if new not in seen:
-                    seen[new] = None
-                    nxt.append(new)
-        queue = nxt
-
-    # a root's coordinates share one sign, so its sign is that of its height;
-    # height is linear, so height(w(theta)) = sum_i theta_i height(w(alpha_i))
-    elements = []
-    for w in seen:
-        heights = [sum(v) for v in w]
-        theta_height = sum(t * h for t, h in zip(theta, heights))
-        signs = (theta_height < 0,) + tuple(h > 0 for h in heights)
-        elements.append(WeylElement(w, signs))
-    return tuple(elements)

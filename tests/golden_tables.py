@@ -29,9 +29,11 @@ the root-line certificate (ACCEPTANCE 2: parity of the shifted polynomial
 plus a Sturm count put every root on Re z = nh/2), the shift-operator
 identities for each type at every n <= 2 rho (ACCEPTANCE 6, which covers
 every row here), and the checks of the two inputs, the alcove Ehrhart
-quasi-polynomial against direct lattice counts (ACCEPTANCE 4) and, for F4
-only, the weighted Eulerian polynomial against its Weyl-group statistic
-(ACCEPTANCE 7).  These confirm the computation is consistent with itself
+quasi-polynomial against direct lattice counts (ACCEPTANCE 4) and its
+coprime constituents against the exponents, and the weighted Eulerian
+polynomial against its Weyl-group statistic (ACCEPTANCE 7, F4 only here)
+and as the one solution of R(S) L = t^l (every type, in test_eulerian.py).
+These confirm the computation is consistent with itself
 and with the conjecture; they do not count points.
 """
 

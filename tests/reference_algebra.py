@@ -15,17 +15,24 @@ tilde(L_Phi, gcd(n+1, rho)) for each n, where ``arrangements.char_poly``
 evaluates one integer family per class of n.  ``power_sum_block_product``
 applies a product of block sums one factor at a time from the power sums
 of the block, where the package takes the cumulants of their sum.
+
+The Weyl-group enumeration is the independent route to R_Phi:
+``generalized_eulerian_by_weyl`` sums t^asc(w) over the whole group, where
+``eulerian.generalized_eulerian`` takes the product over the marks.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from linial.ehrhart import PeriodConsistencyError, ehrhart_quasi
 from linial.eulerian import generalized_eulerian
 from linial.quasipoly import OperatorPoly, QuasiPoly, _make, _raw, apply_S, tilde
 from linial.ratpoly import RatPoly
+from linial.rootsystems import RootSystemInfo, highest_root, weyl_group_order
 
 #: The variable ``t`` itself, for building polynomials expression-style.
 X = RatPoly((0, 1))
@@ -231,3 +238,85 @@ def series_char_quasi(info, n: int) -> QuasiPoly:
     den = math.lcm(*(c.denominator for c in cs), 1)
     terms = {(n + 1) * k: c.numerator * (den // c.denominator) for k, c in enumerate(cs)}
     return series_quasi(terms, den, [(c, 1) for c in info.marks])
+
+
+class WeylElement(NamedTuple):
+    simple_images: tuple[tuple[int, ...], ...]
+    signs: tuple[bool, ...]  # sign of w(alpha_i), i = 0..l (index 0: -highest root)
+
+
+class GroupTooLargeError(RuntimeError):
+    pass
+
+
+def _reflect(beta: tuple[int, ...], j: int, cartan) -> tuple[int, ...]:
+    c = sum(b * cartan[i][j] for i, b in enumerate(beta) if b)
+    if not c:
+        return beta
+    out = list(beta)
+    out[j] -= c
+    return tuple(out)
+
+
+# Largest Weyl group that ``weyl_elements`` enumerates.
+_WEYL_CAP = 200000
+
+
+@lru_cache(maxsize=None)
+def weyl_elements(info: RootSystemInfo) -> tuple[WeylElement, ...]:
+    """Every Weyl group element, as the tuple of images of the simple roots,
+    by breadth-first closure; raises GroupTooLargeError, before enumerating,
+    when the group order exceeds ``_WEYL_CAP``.
+
+    Each element also records the signs of w(alpha_i) for i = 0..l, where
+    alpha_0 = -(highest root).
+    """
+    order = weyl_group_order(info)
+    if order > _WEYL_CAP:
+        raise GroupTooLargeError(f"Weyl group of {info.label} has order {order} > {_WEYL_CAP}")
+    rank = info.rank
+    cartan = info.cartan
+    theta = highest_root(info)
+    identity = tuple(tuple(int(i == j) for i in range(rank)) for j in range(rank))
+    seen: dict[tuple, None] = {identity: None}
+    queue = [identity]
+    while queue:
+        nxt = []
+        for w in queue:
+            for j in range(rank):
+                new = tuple(_reflect(v, j, cartan) for v in w)
+                if new not in seen:
+                    seen[new] = None
+                    nxt.append(new)
+        queue = nxt
+
+    # a root's coordinates share one sign, so its sign is that of its height;
+    # height is linear, so height(w(theta)) = sum_i theta_i height(w(alpha_i))
+    elements = []
+    for w in seen:
+        heights = [sum(v) for v in w]
+        theta_height = sum(t * h for t, h in zip(theta, heights))
+        signs = (theta_height < 0,) + tuple(h > 0 for h in heights)
+        elements.append(WeylElement(w, signs))
+    return tuple(elements)
+
+
+def generalized_eulerian_by_weyl(info: RootSystemInfo) -> RatPoly:
+    """R_Phi(t) summed over the Weyl group: (1/f) sum_w t^asc(w).
+
+    The mark attached to alpha_i must follow the simple-root numbering, so
+    the coefficient vector is (1, highest-root coordinates), not the sorted
+    marks tuple.
+    """
+    cs = (1,) + highest_root(info)
+    counts: dict[int, int] = {}
+    for el in weyl_elements(info):
+        a = 0
+        for c, positive in zip(cs, el.signs):
+            if positive:
+                a += c
+        counts[a] = counts.get(a, 0) + 1
+    coeffs = [Fraction(0)] * (max(counts) + 1)
+    for a, cnt in counts.items():
+        coeffs[a] = Fraction(cnt, info.index_f)
+    return RatPoly(coeffs)

@@ -47,7 +47,6 @@ from linial.eulerian import (
     eulerian_congruence_check,
     generalized_congruence_operator,
     generalized_eulerian,
-    generalized_eulerian_by_weyl,
 )
 from linial.quasipoly import (
     OperatorPoly,
@@ -64,7 +63,7 @@ from linial.ratpoly import (
 )
 from linial.rootline import verify_line
 from linial.rootsystems import catalog
-from reference_algebra import divides
+from reference_algebra import divides, generalized_eulerian_by_weyl
 
 TABLE_ARGS = {
     "E6": "1,2,5",

@@ -149,9 +149,8 @@ def test_char_quasi_runs_no_kernel_in_a_seen_class(monkeypatch, label):
     def refuse(*args, **kwargs):
         raise AssertionError("char_quasi ran the kernel in a class it has seen")
 
-    for module in (arrangements, quasipoly):
-        for name in ("_moment_table", "_operator_rows"):
-            monkeypatch.setattr(module, name, refuse)
+    for name in ("_moment_table", "_operator_rows"):
+        monkeypatch.setattr(quasipoly, name, refuse)
     for n in (rho, 2 * rho + 1, 10**9 + 7):
         assert _same_form(char_quasi.__wrapped__(info, n), series_char_quasi(info, n)), (label, n)
 
@@ -587,14 +586,18 @@ def test_char_poly_applies_no_operator_per_n(monkeypatch):
     info = catalog("E8")
     for g in sorted_divisors(info.period_rho):
         arrangements._char_family(info, g)
+    # the reference applies R_Phi through the kernel, so it runs first
+    want = {n: reference_char_poly(info, n) for n in (0, 1, 59, 60, 10**9 + 7)}
 
     def refuse(*args, **kwargs):
         raise AssertionError("char_poly built an operator")
 
-    for name in ("_moment_table", "_operator_rows", "OperatorPoly", "tilde", "ehrhart_quasi"):
+    for name in ("_moment_table", "_operator_rows"):
+        monkeypatch.setattr(quasipoly, name, refuse)
+    for name in ("OperatorPoly", "tilde", "ehrhart_quasi"):
         monkeypatch.setattr(arrangements, name, refuse)
-    for n in (0, 1, 59, 60, 10**9 + 7):
-        assert char_poly.__wrapped__(info, n) == reference_char_poly(info, n)
+    for n, poly in want.items():
+        assert char_poly.__wrapped__(info, n) == poly, n
 
 
 GOLDEN_SPOT_CHECKS = [

@@ -20,9 +20,9 @@ from linial.ehrhart import (
     series_to_quasipoly,
 )
 import linial.ehrhart
-from linial.quasipoly import QuasiPoly, sorted_divisors, tilde
+from linial.quasipoly import QuasiPoly, _make, sorted_divisors, tilde
 from linial.ratpoly import RatPoly, cyclotomic_type
-from linial.rootsystems import catalog
+from linial.rootsystems import catalog, positive_roots, weyl_group_order
 from reference_algebra import poly_divmod, poly_gcd, series_quasi, sigma_pow
 
 
@@ -195,6 +195,63 @@ def test_suter_duality_and_vanishing(label):
         assert L.eval(-q) == 0
 
 
+def exponents(info):
+    """The exponents e_1 <= ... <= e_l, read off the heights of the positive
+    roots, not the marks: #{roots of height k} = #{i : e_i >= k} (Kostant
+    1959)."""
+    count = [0] * (info.coxeter_h + 1)
+    for root in positive_roots(info):
+        count[sum(root)] += 1
+    return [k for k in range(1, len(count) - 1) for _ in range(count[k] - count[k + 1])]
+
+
+def cartan_determinant(cartan):
+    """det A by elimination without pivoting: the leading principal minors
+    of a Cartan matrix of finite type are all positive."""
+    a = [[Fraction(v) for v in row] for row in cartan]
+    det = Fraction(1)
+    for i, pivot_row in enumerate(a):
+        det *= pivot_row[i]
+        for row in a[i + 1 :]:
+            f = row[i] / pivot_row[i]
+            row[:] = [u - f * v for u, v in zip(row, pivot_row)]
+    return det
+
+
+def coprime_constituents_from_exponents(info, L):
+    """Whether every constituent of L at a residue coprime to rho is
+    (det A / prod(e_i + 1)) prod(t + e_i) (Suter, Math. Comp. 67 (1998)),
+    and prod(e_i + 1) is |W| (Chevalley 1955); only L and |W| come from
+    the marks."""
+    exps = exponents(info)
+    order = math.prod(e + 1 for e in exps)
+    want = RatPoly((cartan_determinant(info.cartan) / order,))
+    for e in exps:
+        want = want * RatPoly((e, 1))
+    rho, cs = info.period_rho, L.constituents
+    coprime = [r for r in range(rho) if gcd(r, rho) == 1]
+    return order == weyl_group_order(info) and all(cs[r % L.period] == want for r in coprime)
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_coprime_constituents_from_the_exponents(label):
+    info = catalog(label)
+    assert len(exponents(info)) == info.rank
+    L = ehrhart_quasi(info)
+    assert coprime_constituents_from_exponents(info, L)
+    # one coefficient off at the coprime residue 1 is refused
+    rows = [list(row) for row in L.rows]
+    rows[1 % L.period][0] += 1
+    assert not coprime_constituents_from_exponents(info, _make(L.period, L.den, rows))
+
+
+def test_exponents_pinned():
+    assert exponents(catalog("E8")) == [1, 7, 11, 13, 17, 19, 23, 29]
+    assert exponents(catalog("G2")) == [1, 5]
+    assert exponents(catalog("D4")) == [1, 3, 3, 5]
+    assert cartan_determinant(catalog("E6").cartan) == 3
+
+
 def test_cyclotomic_factors():
     x = RatPoly((0, 1))
     assert cyclotomic_factor(1) == RatPoly((1, -1))
@@ -346,25 +403,11 @@ def test_series_to_quasipoly_spare_node_catches_a_short_period(monkeypatch):
 
 @pytest.mark.parametrize("label", ALL_TYPES)
 def test_decomposition_matches_partial_fractions(label):
-    # the Ramanujan-sum projection gives the partial-fraction pieces exactly
+    # Moebius inversion of tilde gives the partial-fraction pieces exactly
     info = catalog(label)
     got = [(d, p.period, p.den, p.rows) for d, p in decompose_ehrhart(info)]
     want = [(d, p.period, p.den, p.rows) for d, p in reference_decompose(info)]
     assert got == want
-
-
-def test_ramanujan_sums_pinned():
-    # c_d(k) for d = 1..6, k = 0..5: the sum of zeta^k over primitive d-th roots
-    table = [[linial.ehrhart._ramanujan(d, k) for k in range(6)] for d in range(1, 7)]
-    assert table == [
-        [1, 1, 1, 1, 1, 1],
-        [1, -1, 1, -1, 1, -1],
-        [2, -1, -1, 2, -1, -1],
-        [2, 0, -2, 0, 2, 0],
-        [4, -1, -1, -1, -1, 4],
-        [2, 1, -1, -2, -1, 1],
-    ]
-    assert linial.ehrhart._ramanujan(6, -1) == 1
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)

@@ -8,15 +8,17 @@ from itertools import permutations
 import pytest
 
 from conftest import ALL_TYPES
+from linial.ehrhart import ehrhart_quasi
 from linial.eulerian import (
     eulerian,
     eulerian_congruence_check,
     generalized_congruence_operator,
     generalized_eulerian,
-    generalized_eulerian_by_weyl,
 )
+from linial.quasipoly import _make
 from linial.ratpoly import RatPoly, congruent_mod_power
-from linial.rootsystems import catalog, weyl_elements
+from linial.rootsystems import catalog
+from reference_algebra import _taylor_shift, generalized_eulerian_by_weyl, weyl_elements
 
 
 def brute_force_row(ell):
@@ -82,6 +84,65 @@ def test_value_at_one_counts_the_group(label):
     info = catalog(label)
     R = generalized_eulerian(info)
     assert R(Fraction(1)) * info.index_f == len(weyl_elements(info))
+
+
+# A prime modulus for ranks: full rank mod P implies full rank over Q.
+P = 2**61 - 1
+
+
+def worpitzky_rows(L, h):
+    """R(S) L = t^l as integer rows in the h unknown coefficients of
+    t^0..t^(h-1), one row per (slot r, power p) of L's period: entry k is
+    coefficient p of den * L_((r-k) mod rho)(t - k), the right side
+    den * [p = l]."""
+    rho, width = L.period, len(L.rows[0])
+    cols = [[_taylor_shift(L.rows[(r - k) % rho], -k) for r in range(rho)] for k in range(h)]
+    rows = [[col[r][p] for col in cols] for r in range(rho) for p in range(width)]
+    return rows, [L.den * (p == width - 1) for _ in range(rho) for p in range(width)]
+
+
+def rank_mod_p(rows):
+    rows = [[v % P for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, P)
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [(u - f * v) % P for u, v in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def pinned_by_l(L, R, h):
+    """Whether R(S) L = t^l, with R of degree < h, and that system has rank
+    h, so R is its only solution: R_Phi is pinned by L_Phi."""
+    rows, rhs = worpitzky_rows(L, h)
+    den = math.lcm(*(c.denominator for c in R.coeffs), 1)
+    x = [int(c * den) for c in R.coeffs] + [0] * (h - len(R.coeffs))
+    if len(x) > h or any(sum(a * b for a, b in zip(row, x)) != den * b for row, b in zip(rows, rhs)):
+        return False
+    return rank_mod_p(rows) == h
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_r_phi_is_pinned_by_l_phi(label):
+    info = catalog(label)
+    L, R, h = ehrhart_quasi(info), generalized_eulerian(info), info.coxeter_h
+    assert pinned_by_l(L, R, h)
+    # with one unknown more the rank stays h: prod_i (1 - S^(c_i)), of
+    # degree h, annihilates L
+    assert rank_mod_p(worpitzky_rows(L, h + 1)[0]) == h
+    # one constituent of L off, and one coefficient of R off, are refused
+    rows = [list(row) for row in L.rows]
+    rows[-1][0] += 1
+    assert not pinned_by_l(_make(L.period, L.den, rows), R, h)
+    assert not pinned_by_l(L, R + RatPoly.monomial(h // 2), h)
 
 
 @pytest.mark.parametrize("ell", range(1, 8))

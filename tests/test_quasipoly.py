@@ -447,10 +447,10 @@ def test_operator_poly_validation():
 
 def test_operator_poly_record():
     # equality, hash and repr read coeffs and stride only, whatever the
-    # cached integer terms; the record is immutable
+    # cached integer weights; the record is immutable
     a = OperatorPoly(RatPoly((1, Fraction(-2, 3))), 3)
     b = OperatorPoly(RatPoly((1, Fraction(-2, 3))), stride=3)
-    object.__setattr__(b, "terms", ((0, 7),))
+    object.__setattr__(b, "weights", (7,))
     object.__setattr__(b, "den", 5)
     assert a == b and hash(a) == hash(b)
     assert a != OperatorPoly(RatPoly((1, Fraction(-2, 3))), 2)
@@ -459,8 +459,8 @@ def test_operator_poly_record():
     assert len({a, b, OperatorPoly(RatPoly((0, 1)))}) == 2
     assert repr(a) == "OperatorPoly(coeffs=RatPoly(-2/3t + 1), stride=3)"
     assert repr(OperatorPoly(RatPoly((0, 1)))) == "OperatorPoly(coeffs=RatPoly(t), stride=1)"
-    assert (a.terms, a.den) == (((0, 3), (3, -2)), 3)
-    for name in ("coeffs", "stride", "terms", "den", "other"):
+    assert (a.weights, a.den) == ((3, -2), 3)
+    for name in ("coeffs", "stride", "weights", "den", "other"):
         with pytest.raises(AttributeError):
             setattr(a, name, 1)
 
