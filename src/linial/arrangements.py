@@ -35,10 +35,9 @@ import math
 from functools import lru_cache
 from itertools import chain
 
-from .ehrhart import PeriodConsistencyError, _ehrhart_pieces, ehrhart_quasi
+from .ehrhart import PeriodConsistencyError, decompose_ehrhart, ehrhart_quasi
 from .eulerian import generalized_eulerian
 from .quasipoly import (
-    OperatorPoly,
     QuasiPoly,
     _apply_block_product,
     _evaluate,
@@ -74,15 +73,9 @@ def char_quasi(info: RootSystemInfo, n: int) -> QuasiPoly:
     if n < 0:
         raise ValueError("n must be >= 0")
     N = n + 1
-    families = (_family(piece, info, N % piece.period) for _, piece in _ehrhart_pieces(info))
+    families = (_family(piece, info, N % piece.period) for _, piece in decompose_ehrhart(info))
     images = (_evaluate(fam, N) for fam in families if any(map(any, chain.from_iterable(fam[2]))))
     return sum(images, next(images, QuasiPoly.zero()))
-
-
-@lru_cache(maxsize=None)
-def _r_phi(info: RootSystemInfo) -> OperatorPoly:
-    """R_Phi as an operator in S, built once per type."""
-    return OperatorPoly(generalized_eulerian(info))
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +83,7 @@ def _family(f: QuasiPoly, info: RootSystemInfo, s: int):
     """The family of R_Phi(S^N) f for N = s (mod f's period), one kernel pass
     per (operand value, type, class); at s = 0 no slot rotates, so it is
     R_Phi(Sbar^N) f for any f."""
-    return _operator_family(f, _r_phi(info), s)
+    return _operator_family(f, generalized_eulerian(info), s)
 
 
 @lru_cache(maxsize=None)

@@ -131,26 +131,20 @@ def series_to_quasipoly(
 # -- decomposition by cyclotomic order ----------------------------------------
 
 
-def decompose_ehrhart(info: RootSystemInfo) -> list[tuple[int, QuasiPoly]]:
+@lru_cache(maxsize=None)
+def decompose_ehrhart(info: RootSystemInfo) -> tuple[tuple[int, QuasiPoly], ...]:
     """Split L into one quasi-polynomial piece per cyclotomic order d,
     where d runs over the divisors of the marks (= the distinct marks for
     every catalog type): the piece for d is the part of L whose terms
     zeta^t P(t) have zeta a primitive d-th root of unity.  It has period
     dividing d and degree at most (number of marks d divides) - 1, and the
-    pieces sum pointwise to L.
+    pieces sum pointwise to L.  The (d, piece) pairs are cached per type
+    and returned as one shared tuple.
 
     Each such d divides rho, and tilde(L, d), the average of L's slots over
     each class mod d, is the sum of the pieces whose order divides d; so
     the piece for d is tilde(L, d) less the pieces of the proper divisors
-    of d, taken in ascending order of d."""
-    return list(_ehrhart_pieces(info))
-
-
-@lru_cache(maxsize=None)
-def _ehrhart_pieces(info: RootSystemInfo) -> tuple[tuple[int, QuasiPoly], ...]:
-    """The (d, piece) pairs of ``decompose_ehrhart``, cached per type.  The
-    orders are closed under taking divisors, so every piece subtracted is
-    built before it is needed."""
+    of d, taken in ascending order of d, which builds each of those first."""
     L = ehrhart_quasi(info)
     pieces: dict[int, QuasiPoly] = {}
     for d in sorted({e for c in info.marks for e in sorted_divisors(c)}):

@@ -14,8 +14,8 @@ forms.  Every operation works on these int tuples; ``constituents``
 derives :class:`RatPoly` slots only for callers that ask.
 
 The shift operator acts by ``(S f)(t) = f(t - 1)``; an ``OperatorPoly``
-bundles a coefficient polynomial with a stride m and stands for
-``sum_k a_k S^(m*k)``, which ``apply_S`` applies exactly.  One pass of
+is the record (coeffs a_k, stride m) of ``sum_k a_k S^(m*k)``, which
+``apply_S`` applies exactly, on integer weights.  One pass of
 the same kernel applies a product of block sums (1/m) [m]_{S^s} whose
 strides the operand's period divides, its moments from the cumulants of
 a sum of uniform shifts.
@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, zip_longest
 from operator import add, mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .ratpoly import RatPoly
 
@@ -151,34 +151,11 @@ def _make(period: int, den: int, rows) -> QuasiPoly:
     return _raw(d, den // g, rows[:d])
 
 
-class OperatorPoly:
-    """``sum_k coeffs[k] * S^(stride*k)`` — a polynomial in a power of S,
-    also held, converted once, as the integer weights a_k = coeffs[k] * den;
-    equality, hashing and repr read only coeffs and stride."""
+class OperatorPoly(NamedTuple):
+    """``sum_k coeffs[k] * S^(stride*k)``, a polynomial in a power of S."""
 
-    __slots__ = ("coeffs", "stride", "weights", "den")
-
-    def __init__(self, coeffs: RatPoly, stride: int = 1):
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        cs = coeffs.coeffs
-        den = math.lcm(*(c.denominator for c in cs), 1)
-        weights = tuple(c.numerator * (den // c.denominator) for c in cs)
-        _set(self, coeffs, stride, weights, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorPoly is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OperatorPoly):
-            return NotImplemented
-        return (self.coeffs, self.stride) == (other.coeffs, other.stride)
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.stride))
-
-    def __repr__(self) -> str:
-        return f"OperatorPoly(coeffs={self.coeffs!r}, stride={self.stride!r})"
+    coeffs: RatPoly
+    stride: int = 1
 
 
 def sorted_divisors(n: int) -> list[int]:
@@ -229,12 +206,13 @@ def tilde(f: QuasiPoly, k: int) -> QuasiPoly:
 # ``_moment_table`` takes the m_e per class d = s k mod n over one integer
 # denominator; ``_operator_rows`` weights each source row's columns once
 # and builds the family in one integer pass per (slot, class) over the
-# flattened (p, e) terms; ``_operator_family`` is the two for an
-# ``OperatorPoly``; ``_evaluate`` sums a family against the powers of one
-# N into the canonical ``QuasiPoly``, and ``apply_S`` evaluates at
-# N = stride.  ``_apply_block_product`` applies a product of block sums
-# at N = 1 from one class-0 table: the moments of a sum of uniform shifts,
-# from its cumulants, in which the strides enter by their power sums.
+# flattened (p, e) terms; ``_operator_family`` is the two for a coefficient
+# polynomial, cleared into integer weights; ``_evaluate`` sums a family
+# against the powers of one N into the canonical ``QuasiPoly``, and
+# ``apply_S`` evaluates at N = stride.  ``_apply_block_product`` applies a
+# product of block sums at N = 1 from one class-0 table: the moments of a
+# sum of uniform shifts, from its cumulants, in which the strides enter by
+# their power sums.
 
 
 def _moment_table(weights, modulus: int, width: int, step: int) -> dict[int, list[int]]:
@@ -274,11 +252,13 @@ def _operator_rows(f: QuasiPoly, table: dict[int, list[int]], den: int):
     return n, f.den * den, tuple(out)
 
 
-def _operator_family(f: QuasiPoly, op: OperatorPoly, s: int):
-    """The family of sum_k a_k S^(N k) on f, a_k the coefficients of op,
-    for every N = s (mod f's period); op's own stride is not read."""
-    table = _moment_table(op.weights, f.period, len(f.rows[0]), s)
-    return _operator_rows(f, table, op.den)
+def _operator_family(f: QuasiPoly, coeffs: RatPoly, s: int):
+    """The family of sum_k a_k S^(N k) on f for every N = s (mod f's period),
+    a_k = coeffs[k] * den over den, the lcm of the coefficients' denominators."""
+    cs = coeffs.coeffs
+    den = math.lcm(*(c.denominator for c in cs), 1)
+    weights = (c.numerator * (den // c.denominator) for c in cs)
+    return _operator_rows(f, _moment_table(weights, f.period, len(f.rows[0]), s), den)
 
 
 def _evaluate(family, N: int) -> QuasiPoly:
@@ -292,9 +272,12 @@ def apply_S(f: QuasiPoly, op: OperatorPoly) -> QuasiPoly:
     """Apply ``sum_k a_k S^(m k)`` to ``f``: result(t) = sum a_k f(t - m k).
 
     Computed at f's period n, which is minimal: slot r draws on the
-    constituent at slot (r - m k) mod n with its argument shifted by m k.
+    constituent at slot (r - m k) mod n with its argument shifted by m k;
+    m < 1 raises ValueError.
     """
-    return _evaluate(_operator_family(f, op, op.stride), op.stride)
+    if op.stride < 1:
+        raise ValueError("stride must be >= 1")
+    return _evaluate(_operator_family(f, op.coeffs, op.stride), op.stride)
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,6 @@ __all__ = [
     "RootSystemInfo",
     "catalog",
     "positive_roots",
-    "highest_root",
     "weyl_group_order",
     "CLI_LABELS",
 ]
@@ -132,10 +131,6 @@ def _closure(cartan) -> tuple[tuple[int, ...], ...]:
 def positive_roots(info: RootSystemInfo) -> tuple[tuple[int, ...], ...]:
     """All positive roots in simple-root coordinates, by (height, coords)."""
     return _closure(info.cartan)
-
-
-def highest_root(info: RootSystemInfo) -> tuple[int, ...]:
-    return positive_roots(info)[-1]
 
 
 def weyl_group_order(info: RootSystemInfo) -> int:

@@ -32,7 +32,7 @@ from linial.ehrhart import PeriodConsistencyError, ehrhart_quasi
 from linial.eulerian import generalized_eulerian
 from linial.quasipoly import OperatorPoly, QuasiPoly, _make, _raw, apply_S, tilde
 from linial.ratpoly import RatPoly
-from linial.rootsystems import RootSystemInfo, highest_root, weyl_group_order
+from linial.rootsystems import RootSystemInfo, positive_roots, weyl_group_order
 
 #: The variable ``t`` itself, for building polynomials expression-style.
 X = RatPoly((0, 1))
@@ -276,7 +276,7 @@ def weyl_elements(info: RootSystemInfo) -> tuple[WeylElement, ...]:
         raise GroupTooLargeError(f"Weyl group of {info.label} has order {order} > {_WEYL_CAP}")
     rank = info.rank
     cartan = info.cartan
-    theta = highest_root(info)
+    theta = positive_roots(info)[-1]
     identity = tuple(tuple(int(i == j) for i in range(rank)) for j in range(rank))
     seen: dict[tuple, None] = {identity: None}
     queue = [identity]
@@ -308,7 +308,7 @@ def generalized_eulerian_by_weyl(info: RootSystemInfo) -> RatPoly:
     the coefficient vector is (1, highest-root coordinates), not the sorted
     marks tuple.
     """
-    cs = (1,) + highest_root(info)
+    cs = (1,) + positive_roots(info)[-1]
     counts: dict[int, int] = {}
     for el in weyl_elements(info):
         a = 0

@@ -302,17 +302,35 @@ def test_main_theorem_fails_on_an_extra_piece(monkeypatch):
     # an extra piece of an order d not dividing n + 1 that R_Phi(S^(n+1))
     # does not annihilate, the indicator of slot 0 mod d, must be refused:
     # char_quasi applies the operator to every piece, so none escapes the check
-    real = arrangements._ehrhart_pieces
+    real = arrangements.decompose_ehrhart
     for label, n in EXTRA_PIECE_CASES:
         info = catalog(label)
         d = next(d for d, _ in real(info) if (n + 1) % d)
         indicator = QuasiPoly(d, [RatPoly.one()] + [RatPoly.zero()] * (d - 1))
         with monkeypatch.context() as patch:
-            patch.setattr(arrangements, "_ehrhart_pieces", lambda i: real(i) + ((d, indicator),))
+            patch.setattr(arrangements, "decompose_ehrhart", lambda i: real(i) + ((d, indicator),))
             char_quasi.cache_clear()
             assert not verify_main_theorem(info, n), (label, n)
         char_quasi.cache_clear()
         assert verify_main_theorem(info, n), (label, n)
+
+
+def test_char_quasi_reads_the_cached_decomposition(monkeypatch):
+    # decompose_ehrhart is cached per type and returns one shared tuple of
+    # immutable pieces; char_quasi reads that same object
+    info = catalog("F4")
+    parts = decompose_ehrhart(info)
+    assert isinstance(parts, tuple) and decompose_ehrhart(info) is parts
+    seen = []
+    real = arrangements.decompose_ehrhart
+
+    def spy(i):
+        seen.append(real(i))
+        return seen[-1]
+
+    monkeypatch.setattr(arrangements, "decompose_ehrhart", spy)
+    char_quasi.__wrapped__(info, 5)
+    assert len(seen) == 1 and seen[0] is parts
 
 
 @pytest.mark.parametrize("label", SMALL_TYPES)
@@ -582,7 +600,7 @@ def test_char_family_is_the_interpolant_in_N(label):
 
 def test_char_poly_applies_no_operator_per_n(monkeypatch):
     # once a class's family is built, a row of the table is one evaluation
-    # of it at N: no tilde, no operator, no moment table, no kernel pass
+    # of it at N: no tilde, no R_Phi, no moment table, no kernel pass
     info = catalog("E8")
     for g in sorted_divisors(info.period_rho):
         arrangements._char_family(info, g)
@@ -594,7 +612,7 @@ def test_char_poly_applies_no_operator_per_n(monkeypatch):
 
     for name in ("_moment_table", "_operator_rows"):
         monkeypatch.setattr(quasipoly, name, refuse)
-    for name in ("OperatorPoly", "tilde", "ehrhart_quasi"):
+    for name in ("generalized_eulerian", "tilde", "ehrhart_quasi"):
         monkeypatch.setattr(arrangements, name, refuse)
     for n, poly in want.items():
         assert char_poly.__wrapped__(info, n) == poly, n

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import ALL_TYPES
-from linial.rootsystems import catalog, highest_root, positive_roots, weyl_group_order
+from linial.rootsystems import catalog, positive_roots, weyl_group_order
 from reference_algebra import GroupTooLargeError, weyl_elements
 
 # label -> (marks incl. the extra 1, h, rho, rad_rho, f), recorded from the
@@ -164,7 +164,7 @@ def test_highest_root_matches_marks(label):
     # the highest root is dominant, and with 1 its coefficients are the marks
     # pinned in TABLE
     info = catalog(label)
-    top = highest_root(info)
+    top = positive_roots(info)[-1]
     assert tuple(sorted((1,) + top)) == TABLE[label][0]
     for j in range(info.rank):
         assert sum(t * row[j] for t, row in zip(top, info.cartan)) >= 0
@@ -190,7 +190,7 @@ def test_highest_root_coords_exact(label):
         "C": (2,) * (ell - 1) + (1,),
         "D": (1,) + (2,) * (ell - 3) + (1, 1),
     }.get(family) or EXCEPTIONAL_HIGHEST_ROOTS[label]
-    assert highest_root(catalog(label)) == expected
+    assert positive_roots(catalog(label))[-1] == expected
 
 
 WEYL_ORDERS = {
