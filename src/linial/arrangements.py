@@ -57,7 +57,6 @@ __all__ = [
     "verify_corollary1",
     "gcd_prime_polynomial",
     "verify_rad_theorem",
-    "verify_shift_relation",
 ]
 
 
@@ -231,20 +230,3 @@ def verify_rad_theorem(info: RootSystemInfo, n: int) -> bool:
     target = _evaluate(_char_family(info, g), g)
     start = _evaluate(_char_family(info, gr), gr)
     return _apply_block_product(start, g // gr, [c * gr for c in info.marks]) == target
-
-
-def verify_shift_relation(info: RootSystemInfo, n: int, k: int, q: int) -> bool:
-    """Window-shift consistency at a modulus q coprime to rho: the [1, n]
-    count at q must equal chi(q), and the [1-k, n+k] count must equal
-    chi(q - k h).  Raises ValueError when the two counts together, 2 q^l
-    points, exceed ``_ORACLE_POINT_BUDGET``."""
-    if math.gcd(q, info.period_rho) != 1:
-        raise ValueError("q must be coprime to rho")
-    if 2 * q**info.rank > _ORACLE_POINT_BUDGET:
-        raise ValueError(
-            f"2 x {q}^{info.rank} points exceed the oracle budget {_ORACLE_POINT_BUDGET}"
-        )
-    chi = char_poly(info, n)
-    if oracle_count(info, 1, n, q) != chi(q):
-        return False
-    return oracle_count(info, 1 - k, n + k, q) == chi(q - k * info.coxeter_h)

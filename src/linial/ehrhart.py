@@ -24,15 +24,8 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul, sub
 
-from .quasipoly import (
-    OperatorPoly,
-    QuasiPoly,
-    _make,
-    apply_S,
-    sorted_divisors,
-    tilde,
-)
-from .ratpoly import RatPoly
+from .quasipoly import QuasiPoly, _make, sorted_divisors, tilde
+from .ratpoly import RatPoly, _integer_rows
 from .rootsystems import RootSystemInfo
 
 __all__ = [
@@ -41,7 +34,6 @@ __all__ = [
     "ehrhart_quasi",
     "series_to_quasipoly",
     "decompose_ehrhart",
-    "cross_type_relation_check",
 ]
 
 
@@ -102,8 +94,7 @@ def series_to_quasipoly(
         raise ValueError("improper rational function")
     p = math.lcm(*(d for d, _ in denominator_spec))
     big_m = sum(mult for _, mult in denominator_spec)
-    den = math.lcm(*(c.denominator for c in numerator.coeffs), 1)
-    series = [c.numerator * (den // c.denominator) for c in numerator.coeffs]
+    den, (series,) = _integer_rows([numerator.coeffs])
     series += [0] * (p * (big_m + 1) - len(series))
     for d, mult in denominator_spec:
         for _ in range(mult):
@@ -153,22 +144,3 @@ def decompose_ehrhart(info: RootSystemInfo) -> tuple[tuple[int, QuasiPoly], ...]
             piece -= pieces[e]
         pieces[d] = piece
     return tuple(pieces.items())
-
-
-def cross_type_relation_check(
-    lhs_info: RootSystemInfo,
-    operator,
-    rhs_info: RootSystemInfo,
-    rhs_operator=None,
-) -> bool:
-    """Whether operator(L of lhs) equals L of rhs (optionally with an
-    operator applied on the right-hand side too).  Each operator is a
-    sequence of (polynomial, stride) factors, applied one at a time; shift
-    operators commute, so their order does not matter."""
-    sides = []
-    for info, factors in ((lhs_info, operator), (rhs_info, rhs_operator or ())):
-        f = ehrhart_quasi(info)
-        for coeffs, stride in factors:
-            f = apply_S(f, OperatorPoly(coeffs, stride))
-        sides.append(f)
-    return sides[0] == sides[1]

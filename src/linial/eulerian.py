@@ -12,19 +12,13 @@ independent reference.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .ratpoly import RatPoly, compose_power, cyclotomic_type
+from .ratpoly import RatPoly
 from .rootsystems import RootSystemInfo
 
-__all__ = [
-    "eulerian",
-    "generalized_eulerian",
-    "eulerian_congruence_check",
-    "generalized_congruence_operator",
-]
+__all__ = ["eulerian", "generalized_eulerian"]
 
 
 @lru_cache(maxsize=None)
@@ -54,30 +48,3 @@ def generalized_eulerian(info: RootSystemInfo) -> RatPoly:
         sums = list(accumulate(acc, initial=0))
         acc = [sums[min(j + 1, len(acc))] - sums[max(j + 1 - c, 0)] for j in range(len(acc) + c - 1)]
     return RatPoly(acc)
-
-
-def eulerian_congruence_check(ell: int, n: int) -> bool:
-    """Whether A_ell(t^n) = (1/n^(ell+1)) [n]_t^(ell+1) A_ell(t)
-    mod (1-t)^(ell+1)."""
-    if ell < 1 or n < 2:
-        raise ValueError("need ell >= 1 and n >= 2")
-    from .ratpoly import congruent_mod_power
-
-    a = eulerian(ell)
-    lhs = compose_power(a, n)
-    rhs = (cyclotomic_type(n) ** (ell + 1) * a).scale(Fraction(1, n ** (ell + 1)))
-    return congruent_mod_power(lhs, rhs, ell + 1)
-
-
-def generalized_congruence_operator(info: RootSystemInfo, n: int) -> tuple[RatPoly, RatPoly]:
-    """Both sides of the R_Phi congruence: lhs = R_Phi(t^n), rhs =
-    prod_i (1/n)[n]_{t^(c_i)} * R_Phi(t); congruent mod (1-t)^(l+1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    r = generalized_eulerian(info)
-    lhs = compose_power(r, n)
-    rhs = r
-    for c in info.marks:
-        rhs = rhs * compose_power(cyclotomic_type(n), c)
-    rhs = rhs.scale(Fraction(1, n ** len(info.marks)))
-    return lhs, rhs

@@ -30,12 +30,11 @@ from itertools import accumulate, chain, zip_longest
 from operator import add, mul
 from typing import Iterable, NamedTuple
 
-from .ratpoly import RatPoly
+from .ratpoly import RatPoly, _integer_rows
 
 __all__ = [
     "QuasiPoly",
     "OperatorPoly",
-    "has_gcd_property",
     "tilde",
     "apply_S",
     "quasipoly_to_json",
@@ -57,9 +56,7 @@ class QuasiPoly:
             raise ValueError("period must be >= 1")
         if len(cs) != period:
             raise ValueError(f"expected {period} constituents, got {len(cs)}")
-        den = math.lcm(*(c.denominator for p in cs for c in p.coeffs), 1)
-        rows = [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in cs]
-        f = _make(period, den, rows)
+        f = _make(period, *_integer_rows([p.coeffs for p in cs]))
         _set(self, f.period, f.den, f.rows)
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -170,14 +167,6 @@ def sorted_divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def has_gcd_property(f: QuasiPoly) -> bool:
-    """True iff constituent r coincides with constituent gcd(r, n) for
-    r = 1..n, at f's minimal period n.  Any multiple N of n gives the same
-    verdict, since gcd(gcd(r, N), n) = gcd(r, n) for n | N."""
-    n, rows = f.period, f.rows
-    return all(rows[r % n] == rows[math.gcd(r, n) % n] for r in range(1, n + 1))
-
-
 def tilde(f: QuasiPoly, k: int) -> QuasiPoly:
     """Average of ``f`` over the orbit of sigma^k, sigma the cyclic slot
     rotation, taken at f's period n, which is minimal.
@@ -254,10 +243,8 @@ def _operator_rows(f: QuasiPoly, table: dict[int, list[int]], den: int):
 
 def _operator_family(f: QuasiPoly, coeffs: RatPoly, s: int):
     """The family of sum_k a_k S^(N k) on f for every N = s (mod f's period),
-    a_k = coeffs[k] * den over den, the lcm of the coefficients' denominators."""
-    cs = coeffs.coeffs
-    den = math.lcm(*(c.denominator for c in cs), 1)
-    weights = (c.numerator * (den // c.denominator) for c in cs)
+    a_k = coeffs[k], cleared into integer weights over one denominator."""
+    den, (weights,) = _integer_rows([coeffs.coeffs])
     return _operator_rows(f, _moment_table(weights, f.period, len(f.rows[0]), s), den)
 
 
@@ -289,9 +276,8 @@ def _uniform_cumulants(width: int) -> tuple[int, tuple[int, ...]]:
     B = [Fraction(1)]
     for k in range(1, width):
         B.append(1 - sum(math.comb(k, j) * b / (k - j + 1) for j, b in enumerate(B)))
-    kappa = [Fraction(0)] + [b / k for k, b in enumerate(B) if k]
-    D = math.lcm(*(x.denominator for x in kappa))
-    return D, tuple(int(x * D) for x in kappa)
+    D, (c,) = _integer_rows([[Fraction(0)] + [b / k for k, b in enumerate(B) if k]])
+    return D, tuple(c)
 
 
 def _apply_block_product(start: QuasiPoly, block: int, strides: list[int]) -> QuasiPoly:

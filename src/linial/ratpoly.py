@@ -5,15 +5,13 @@ coefficients indexed by the power of ``t`` (lowest degree first), with no
 trailing zeros.  The zero polynomial is the empty tuple and has degree
 ``-inf``.  Everything in this module is exact; no floats anywhere.
 
-Besides the ring operations this module provides the small amount of
-special-purpose machinery the rest of the package leans on:
-
-* ``cyclotomic_type(c)`` builds ``[c]_t = 1 + t + ... + t^(c-1)``,
-* the congruence predicate modulo a power of ``1 - t``,
-* the residue-class moment test that characterises divisibility by
-  ``[n]_t^(l+1)``.
-
-The integer Sturm chains of the root-line certificate live in ``rootline``.
+Besides the ring operations and ``render_poly`` it holds one format:
+``_integer_rows`` clears rows of rational coefficients into integer rows
+over one denominator, for the quasi-polynomials, the series routine and
+the Taylor shift alike.  The integer Taylor shift and Sturm chains of the
+root-line certificate live in ``rootline``.  The blocks ``[c]_t``, the
+congruence modulo a power of ``1 - t`` and the moment test for
+divisibility by ``[n]_t^(l+1)`` are references in the tests.
 """
 
 from __future__ import annotations
@@ -22,16 +20,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-__all__ = [
-    "RatPoly",
-    "cyclotomic_type",
-    "shift_argument",
-    "compose_power",
-    "derivative",
-    "congruent_mod_power",
-    "moment_divisibility",
-    "render_poly",
-]
+__all__ = ["RatPoly", "render_poly"]
 
 NEG_INF = float("-inf")
 
@@ -157,84 +146,10 @@ class RatPoly:
         return f"RatPoly({render_poly(self)})"
 
 
-def cyclotomic_type(c: int) -> RatPoly:
-    """Return ``[c]_t = 1 + t + ... + t^(c-1)``; ``[0]_t = 0``."""
-    if c < 0:
-        raise ValueError("negative block size")
-    return RatPoly((1,) * c)
-
-
-def shift_argument(p: RatPoly, a: Fraction | int) -> RatPoly:
-    """Return the Taylor shift ``p(t + a)``, exactly, on integers."""
-    if a == 0 or p.is_zero:
-        return p
-    ints, den = _shift_integers(p, a)
-    return RatPoly(Fraction(q, den) for q in ints)
-
-
-def _shift_integers(p: RatPoly, a: Fraction | int) -> tuple[list[int], int]:
-    """``(R, E)`` with p(t + a) = sum R_j t^j / E, E > 0, for p nonzero: with
-    D the lcm of p's denominators, D p = sum P_k t^k, deg p = m and a = u/v
-    (v > 0), v^m D p(s + u/v) = Q(v s) for Q(x) = sum P_k v^(m-k) (x + u)^k,
-    built by Horner's rule on integers; so R_j = Q_j v^j and E = v^m D."""
-    a = Fraction(a)
-    u, v, cs = a.numerator, a.denominator, p.coeffs
-    den, m = math.lcm(*(c.denominator for c in cs)), len(cs) - 1
-    out: list[int] = []
-    for k in range(m, -1, -1):  # out <- out * (x + u) + P_k v^(m-k)
-        out = [x + u * y for x, y in zip([0] + out, out + [0])]
-        out[0] += cs[k].numerator * (den // cs[k].denominator) * v ** (m - k)
-    return [q * v**j for j, q in enumerate(out)], den * v**m
-
-
-def compose_power(p: RatPoly, m: int) -> RatPoly:
-    """Return ``p(t^m)`` for ``m >= 1``."""
-    if m < 1:
-        raise ValueError("power substitution needs m >= 1")
-    if m == 1 or p.is_zero:
-        return p
-    out = [Fraction(0)] * ((len(p.coeffs) - 1) * m + 1)
-    for i, c in enumerate(p.coeffs):
-        out[i * m] = c
-    return RatPoly(out)
-
-
-def derivative(p: RatPoly) -> RatPoly:
-    return RatPoly(tuple(i * c for i, c in enumerate(p.coeffs) if i > 0))
-
-
-def congruent_mod_power(g1: RatPoly, g2: RatPoly, k: int) -> bool:
-    """True iff ``(1 - t)^k`` divides ``g1 - g2``."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    diff = g1 - g2
-    # (1-t)^k | diff  <=>  diff and its first k-1 derivatives vanish at t=1.
-    for _ in range(k):
-        if diff(1) != 0:
-            return False
-        diff = derivative(diff)
-    return True
-
-
-def moment_divisibility(g: RatPoly, n: int, ell: int) -> bool:
-    """Residue-class moment test for divisibility by ``[n]_t^(ell+1)``.
-
-    True iff, for every r in 0..ell, the moment sum
-    ``sum_{k = j mod n} a_k * k^r`` does not depend on the class j.
-    Agrees with exact division by ``[n]_t^(ell+1)``.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if ell < 0:
-        raise ValueError("ell must be non-negative")
-    for r in range(ell + 1):
-        sums = [Fraction(0)] * n
-        for k, a in enumerate(g.coeffs):
-            if a != 0:
-                sums[k % n] += a * k**r
-        if any(s != sums[0] for s in sums[1:]):
-            return False
-    return True
+def _integer_rows(rows) -> tuple[int, list[list[int]]]:
+    """``(D, R)``: integer lists R[i] = D rows[i], D the lcm of the denominators."""
+    den = math.lcm(1, *(c.denominator for row in rows for c in row))
+    return den, [[c.numerator * (den // c.denominator) for c in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------

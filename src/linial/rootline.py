@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .ratpoly import RatPoly, _shift_integers
+from .ratpoly import RatPoly, _integer_rows
 
 __all__ = ["RootReport", "find_roots", "verify_line"]
 
@@ -47,13 +47,26 @@ class RootReport(NamedTuple):
     squarefree: bool
 
 
-def _primitive(cs) -> list[int]:
-    """The positive rational multiple of the nonzero coefficient list ``cs``
-    (lowest degree first) with coprime integer entries."""
-    den = math.lcm(*(c.denominator for c in cs))
-    ints = [int(c * den) for c in cs]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
+def _primitive(cs: list[int]) -> list[int]:
+    """The nonzero integer list ``cs`` divided by its content, the positive
+    gcd of its entries, so the signs stay."""
+    g = math.gcd(*cs)
+    return [c // g for c in cs]
+
+
+def _shift_integers(p: RatPoly, a: Fraction | int) -> tuple[list[int], int]:
+    """``(R, E)`` with p(t + a) = sum R_j t^j / E, E > 0, for p nonzero: with
+    D p = sum P_k t^k in integers (``_integer_rows``), deg p = m and a = u/v
+    (v > 0), v^m D p(s + u/v) = Q(v s) for Q(x) = sum P_k v^(m-k) (x + u)^k,
+    built by Horner's rule on integers; so R_j = Q_j v^j and E = v^m D."""
+    a = Fraction(a)
+    u, v = a.numerator, a.denominator
+    den, (P,) = _integer_rows([p.coeffs])
+    out: list[int] = []
+    for i, c in enumerate(reversed(P)):  # out <- out * (x + u) + P_k v^(m-k), k = m - i
+        out = [x + u * y for x, y in zip([0] + out, out + [0])]
+        out[0] += c * v**i
+    return [q * v**j for j, q in enumerate(out)], den * v ** (len(P) - 1)
 
 
 def _eliminate_top(r: list[int], m: int, c: int, g: list[int]) -> list[int]:

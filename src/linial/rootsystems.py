@@ -5,7 +5,7 @@ matrix.  Positive roots are the closure of the simple roots under the simple
 reflections; the marks are 1 and the coefficients of the highest root.  The
 Coxeter number, the period rho = lcm of the marks, its radical and the index
 of connection f (the number of marks equal to 1; Bourbaki, Lie Groups,
-Ch. VI) follow from the marks, and so does the order of the Weyl group.
+Ch. VI) follow from the marks.
 
 Coordinates are always in the simple-root basis: a root is the integer
 vector (m_1, ..., m_l) with alpha = sum m_j alpha_j, numbered as in
@@ -25,7 +25,6 @@ __all__ = [
     "RootSystemInfo",
     "catalog",
     "positive_roots",
-    "weyl_group_order",
     "CLI_LABELS",
 ]
 
@@ -131,9 +130,3 @@ def _closure(cartan) -> tuple[tuple[int, ...], ...]:
 def positive_roots(info: RootSystemInfo) -> tuple[tuple[int, ...], ...]:
     """All positive roots in simple-root coordinates, by (height, coords)."""
     return _closure(info.cartan)
-
-
-def weyl_group_order(info: RootSystemInfo) -> int:
-    """|W| = l! * f * c_1 * ... * c_l (Bourbaki, Lie Groups, Ch. VI), with f
-    the index of connection and c_i the marks of the highest root."""
-    return math.factorial(info.rank) * info.index_f * math.prod(info.marks)

@@ -19,6 +19,10 @@ of the block, where the package takes the cumulants of their sum.
 The Weyl-group enumeration is the independent route to R_Phi:
 ``generalized_eulerian_by_weyl`` sums t^asc(w) over the whole group, where
 ``eulerian.generalized_eulerian`` takes the product over the marks.
+
+No command of the package reads the identity suite, so it lives here too:
+[c]_t, p(t^m), the congruences modulo (1 - t)^k, the moment test, the gcd
+property, the cross-type relations, the window-shift check and |W|.
 """
 
 import math
@@ -28,11 +32,12 @@ from itertools import accumulate
 from operator import add, mul, sub
 from typing import NamedTuple
 
+from linial.arrangements import _ORACLE_POINT_BUDGET, char_poly, oracle_count
 from linial.ehrhart import PeriodConsistencyError, ehrhart_quasi
 from linial.eulerian import generalized_eulerian
 from linial.quasipoly import OperatorPoly, QuasiPoly, _make, _raw, apply_S, tilde
 from linial.ratpoly import RatPoly
-from linial.rootsystems import RootSystemInfo, positive_roots, weyl_group_order
+from linial.rootsystems import RootSystemInfo, positive_roots
 
 #: The variable ``t`` itself, for building polynomials expression-style.
 X = RatPoly((0, 1))
@@ -94,6 +99,63 @@ def reference_shift_argument(p: RatPoly, a) -> RatPoly:
         nxt[0] += c
         out = nxt
     return RatPoly(out)
+
+
+def cyclotomic_type(c: int) -> RatPoly:
+    """Return ``[c]_t = 1 + t + ... + t^(c-1)``; ``[0]_t = 0``."""
+    if c < 0:
+        raise ValueError("negative block size")
+    return RatPoly((1,) * c)
+
+
+def compose_power(p: RatPoly, m: int) -> RatPoly:
+    """Return ``p(t^m)`` for ``m >= 1``."""
+    if m < 1:
+        raise ValueError("power substitution needs m >= 1")
+    if m == 1 or p.is_zero:
+        return p
+    out = [Fraction(0)] * ((len(p.coeffs) - 1) * m + 1)
+    for i, c in enumerate(p.coeffs):
+        out[i * m] = c
+    return RatPoly(out)
+
+
+def derivative(p: RatPoly) -> RatPoly:
+    return RatPoly(tuple(i * c for i, c in enumerate(p.coeffs) if i > 0))
+
+
+def congruent_mod_power(g1: RatPoly, g2: RatPoly, k: int) -> bool:
+    """True iff ``(1 - t)^k`` divides ``g1 - g2``."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    diff = g1 - g2
+    # (1-t)^k | diff  <=>  diff and its first k-1 derivatives vanish at t=1.
+    for _ in range(k):
+        if diff(1) != 0:
+            return False
+        diff = derivative(diff)
+    return True
+
+
+def moment_divisibility(g: RatPoly, n: int, ell: int) -> bool:
+    """Residue-class moment test for divisibility by ``[n]_t^(ell+1)``.
+
+    True iff, for every r in 0..ell, the moment sum
+    ``sum_{k = j mod n} a_k * k^r`` does not depend on the class j.
+    Agrees with exact division by ``[n]_t^(ell+1)``.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if ell < 0:
+        raise ValueError("ell must be non-negative")
+    for r in range(ell + 1):
+        sums = [Fraction(0)] * n
+        for k, a in enumerate(g.coeffs):
+            if a != 0:
+                sums[k % n] += a * k**r
+        if any(s != sums[0] for s in sums[1:]):
+            return False
+    return True
 
 
 def reference_char_poly(info, n: int) -> RatPoly:
@@ -238,6 +300,86 @@ def series_char_quasi(info, n: int) -> QuasiPoly:
     den = math.lcm(*(c.denominator for c in cs), 1)
     terms = {(n + 1) * k: c.numerator * (den // c.denominator) for k, c in enumerate(cs)}
     return series_quasi(terms, den, [(c, 1) for c in info.marks])
+
+
+def has_gcd_property(f: QuasiPoly) -> bool:
+    """True iff constituent r coincides with constituent gcd(r, n) for
+    r = 1..n, at f's minimal period n.  Any multiple N of n gives the same
+    verdict, since gcd(gcd(r, N), n) = gcd(r, n) for n | N."""
+    n, rows = f.period, f.rows
+    return all(rows[r % n] == rows[math.gcd(r, n) % n] for r in range(1, n + 1))
+
+
+def generalized_congruence_operator(info: RootSystemInfo, n: int) -> tuple[RatPoly, RatPoly]:
+    """Both sides of the R_Phi congruence: lhs = R_Phi(t^n), rhs =
+    prod_i (1/n)[n]_{t^(c_i)} * R_Phi(t); congruent mod (1-t)^(l+1)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    r = generalized_eulerian(info)
+    lhs = compose_power(r, n)
+    rhs = r
+    for c in info.marks:
+        rhs = rhs * compose_power(cyclotomic_type(n), c)
+    rhs = rhs.scale(Fraction(1, n ** len(info.marks)))
+    return lhs, rhs
+
+
+def cross_type_relation_check(
+    lhs_info: RootSystemInfo,
+    operator,
+    rhs_info: RootSystemInfo,
+    rhs_operator=None,
+) -> bool:
+    """Whether operator(L of lhs) equals L of rhs (optionally with an
+    operator applied on the right-hand side too).  Each operator is a
+    sequence of (polynomial, stride) factors, applied one at a time; shift
+    operators commute, so their order does not matter."""
+    sides = []
+    for info, factors in ((lhs_info, operator), (rhs_info, rhs_operator or ())):
+        f = ehrhart_quasi(info)
+        for coeffs, stride in factors:
+            f = apply_S(f, OperatorPoly(coeffs, stride))
+        sides.append(f)
+    return sides[0] == sides[1]
+
+
+_S1 = RatPoly((1, -1))
+#: The relations between exceptional types for ``cross_type_relation_check``,
+#: each (lhs, operator, rhs, rhs operator).
+EXCEPTIONAL_RELATIONS = [
+    ("E7", [(cyclotomic_type(3), 1), (cyclotomic_type(4), 1), (_S1, 1)], "E6", None),
+    (
+        "E8",
+        [(cyclotomic_type(2), 2), (cyclotomic_type(5), 1), (cyclotomic_type(6), 1), (_S1, 1)],
+        "E7",
+        None,
+    ),
+    ("F4", [(cyclotomic_type(2), 1), (cyclotomic_type(4), 1), (_S1, 1), (_S1, 1)], "G2", None),
+    ("E6", [(_S1, 1), (_S1, 1)], "F4", [(RatPoly((1, 0, 1)), 1)]),
+]
+
+
+def verify_shift_relation(info: RootSystemInfo, n: int, k: int, q: int) -> bool:
+    """Window-shift consistency at a modulus q coprime to rho: the [1, n]
+    count at q must equal chi(q), and the [1-k, n+k] count must equal
+    chi(q - k h).  Raises ValueError when the two counts together, 2 q^l
+    points, exceed ``_ORACLE_POINT_BUDGET``."""
+    if math.gcd(q, info.period_rho) != 1:
+        raise ValueError("q must be coprime to rho")
+    if 2 * q**info.rank > _ORACLE_POINT_BUDGET:
+        raise ValueError(
+            f"2 x {q}^{info.rank} points exceed the oracle budget {_ORACLE_POINT_BUDGET}"
+        )
+    chi = char_poly(info, n)
+    if oracle_count(info, 1, n, q) != chi(q):
+        return False
+    return oracle_count(info, 1 - k, n + k, q) == chi(q - k * info.coxeter_h)
+
+
+def weyl_group_order(info: RootSystemInfo) -> int:
+    """|W| = l! * f * c_1 * ... * c_l (Bourbaki, Lie Groups, Ch. VI), with f
+    the index of connection and c_i the marks of the highest root."""
+    return math.factorial(info.rank) * info.index_f * math.prod(info.marks)
 
 
 class WeylElement(NamedTuple):

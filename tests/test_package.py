@@ -26,3 +26,30 @@ def test_every_module_name_is_a_package_name():
     for module, names in _module_lists():
         missing = sorted(set(names) - set(linial.__all__))
         assert not missing, (module.__name__, missing)
+
+
+# What the CLI, the demos and the benchmark read; the identity suite that no
+# command reads lives in tests/reference_algebra.py.
+PACKAGE_NAMES = {
+    "CLI_LABELS", "OperatorPoly", "PeriodConsistencyError", "QuasiPoly", "RatPoly",
+    "RootReport", "RootSystemInfo", "apply_S", "catalog", "char_poly", "char_quasi",
+    "decompose_ehrhart", "denumerant_count", "ehrhart_quasi", "eulerian", "find_roots",
+    "gcd_prime_polynomial", "generalized_eulerian", "oracle_agreement_bound",
+    "oracle_count", "positive_roots", "quasipoly_to_json", "render_poly",
+    "series_to_quasipoly", "tilde", "verify_corollary1", "verify_line",
+    "verify_main_theorem", "verify_rad_theorem",
+}
+TEST_SIDE_NAMES = {
+    "cyclotomic_type", "compose_power", "derivative", "congruent_mod_power",
+    "moment_divisibility", "generalized_congruence_operator", "cross_type_relation_check",
+    "verify_shift_relation", "has_gcd_property", "weyl_group_order",
+    "eulerian_congruence_check", "shift_argument",
+}
+
+
+def test_package_surface_is_pinned():
+    assert len(PACKAGE_NAMES) == 29 and len(TEST_SIDE_NAMES) == 12
+    assert sorted(linial.__all__) == sorted(PACKAGE_NAMES)
+    for module in [linial, *(module for module, _ in _module_lists())]:
+        found = sorted(name for name in TEST_SIDE_NAMES if hasattr(module, name))
+        assert not found, (module.__name__, found)

@@ -8,20 +8,28 @@ from math import gcd
 import pytest
 
 from conftest import ALL_TYPES
-from linial.ehrhart import cross_type_relation_check, ehrhart_quasi
+from linial.ehrhart import ehrhart_quasi
 from linial.eulerian import generalized_eulerian
 from linial.quasipoly import (
     OperatorPoly,
     QuasiPoly,
     apply_S,
-    has_gcd_property,
     quasipoly_to_json,
     sorted_divisors,
     tilde,
 )
-from linial.ratpoly import RatPoly, compose_power, cyclotomic_type
+from linial.ratpoly import RatPoly
 from linial.rootsystems import catalog
-from reference_algebra import divides, shift_S, shift_Sbar, sigma_pow
+from reference_algebra import (
+    compose_power,
+    cross_type_relation_check,
+    cyclotomic_type,
+    divides,
+    has_gcd_property,
+    shift_S,
+    shift_Sbar,
+    sigma_pow,
+)
 
 
 def qp(*constituent_coeff_lists):

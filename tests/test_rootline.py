@@ -9,14 +9,21 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from linial.ratpoly import RatPoly, derivative, shift_argument
+from linial.ratpoly import RatPoly
 from linial import rootline
-from linial.rootline import _aberth_roots, _primitive, _squarefree_parts, find_roots, verify_line
+from linial.rootline import (
+    _aberth_roots,
+    _primitive,
+    _shift_integers,
+    _squarefree_parts,
+    find_roots,
+    verify_line,
+)
 from linial.rootsystems import catalog
 from linial.arrangements import char_poly
 
 from conftest import ALL_TYPES
-from reference_algebra import poly_divmod, poly_gcd
+from reference_algebra import derivative, poly_divmod, poly_gcd, reference_shift_argument
 
 
 def test_linear():
@@ -208,7 +215,7 @@ def test_roots_match_numpy_on_centred_parts(label):
     info = catalog(label)
     for n in [*range(1, 2 * info.period_rho + 2), 10**5]:
         a = Fraction(n * info.coxeter_h, 2)
-        _assert_match_numpy(_primitive(shift_argument(char_poly(info, n), a).coeffs))
+        _assert_match_numpy(_primitive(_shift_integers(char_poly(info, n), a)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +278,7 @@ def sturm_count_real_roots(p: RatPoly) -> int:
 
 def reference_verdicts(p: RatPoly, a: Fraction) -> tuple[bool, bool, bool]:
     """(symmetry, Sturm, squarefree) by Fraction shift, gcd and Sturm chain."""
-    r = shift_argument(p, a)  # r(s) = p(s + a)
+    r = reference_shift_argument(p, a)  # r(s) = p(s + a)
     deg = int(r.degree)
     symmetry = all(c == 0 for k, c in enumerate(r.coeffs) if (k - deg) % 2)
     g = poly_gcd(r, derivative(r))
@@ -379,7 +386,7 @@ def test_roots_match_numpy_on_random_products():
     rng = random.Random(20200601)
     for _ in range(500):
         p, a, _ = _random_case(rng)
-        _assert_match_numpy(_primitive(shift_argument(p, a).coeffs))
+        _assert_match_numpy(_primitive(_shift_integers(p, a)[0]))
 
 
 def test_root_report_record():

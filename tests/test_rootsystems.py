@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import ALL_TYPES
-from linial.rootsystems import catalog, positive_roots, weyl_group_order
-from reference_algebra import GroupTooLargeError, weyl_elements
+from linial.rootsystems import catalog, positive_roots
+from reference_algebra import GroupTooLargeError, weyl_elements, weyl_group_order
 
 # label -> (marks incl. the extra 1, h, rho, rad_rho, f), recorded from the
 # hand-kept period table and the Cartan determinant that the catalog used
