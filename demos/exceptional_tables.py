@@ -36,7 +36,7 @@ for label, n_values in PLAN:
         print(f"    {render_poly(p)}")
         print(
             f"    all roots on Re z = {line}  "
-            f"(max |Re z - {line}| = {rep.max_deviation:.3g}, {mark})"
+            f"(max |Re z - {line}| / max(1, |z - {line}|) = {rep.max_deviation:.3g}, {mark})"
         )
 
 print(f"\nTotal: {time.monotonic() - started:.2f}s")

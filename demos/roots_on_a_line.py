@@ -7,8 +7,9 @@ accident.  This script makes that visible: it prints the roots for a few
 cases, then shows the two halves of the verification,
 
   (a) numeric: find the roots (Aberth iteration on the polynomial
-      shifted exactly onto the centroid of its roots) and measure the
-      worst horizontal deviation, and
+      shifted exactly onto the line, which is the centroid of its roots)
+      and measure the worst horizontal deviation relative to the centred
+      root's size, max |Re z - n*h/2| / max(1, |z - n*h/2|), and
   (b) exact: substitute z = s + n*h/2, check the odd part vanishes, and
       count real roots of the symmetric part with a Sturm chain.
 
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from linial.arrangements import char_poly
 from linial.ratpoly import render_poly
-from linial.rootline import find_roots, verify_line
+from linial.rootline import verify_line
 from linial.rootsystems import catalog
 
 CASES = [("A2", 3), ("B3", 2), ("G2", 4), ("F4", 1), ("E6", 1), ("E8", 1)]
@@ -30,11 +31,11 @@ for label, n in CASES:
     line = Fraction(n * info.coxeter_h, 2)
     print(f"{label}, n = {n}:  {render_poly(p)}")
     print(f"  expected line: Re z = {line} = {float(line)}")
-    for z in find_roots(p):
-        print(f"    z = {z.real:+.12f} {z.imag:+.12f}i")
     rep = verify_line(p, line)
+    for z in rep.roots:
+        print(f"    z = {z.real:+.12f} {z.imag:+.12f}i")
     print(
-        f"  numeric: max deviation {rep.max_deviation:.3g}   "
+        f"  numeric: max relative deviation {rep.max_deviation:.3g}   "
         f"exact: odd part vanishes = {rep.symmetry_exact}, "
         f"Sturm count full = {rep.sturm_exact}"
     )

@@ -42,7 +42,6 @@ from .arrangements import (
     verify_rad_theorem,
 )
 from .ehrhart import decompose_ehrhart, denumerant_count, ehrhart_quasi
-from .quasipoly import quasipoly_to_json
 from .ratpoly import render_poly
 from .rootline import verify_line
 from .rootsystems import CLI_LABELS, catalog
@@ -284,7 +283,7 @@ def cmd_decompose(args) -> int:
                 "mark": d,
                 "period": part.period,
                 "degree": -1 if part.degree == float("-inf") else int(part.degree),
-                "constituents": quasipoly_to_json(part)["constituents"],
+                "constituents": [[str(c) for c in p.coeffs] for p in part.constituents],
             }
             for d, part in parts
         ],
@@ -413,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=1e-8,
-        help="numeric tolerance for the real-part deviation, finite and >= 0 (default: 1e-8)",
+        help="tolerance for the relative deviation from the line, finite and >= 0 (default: 1e-8)",
     )
 
     return parser

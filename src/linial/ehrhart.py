@@ -1,13 +1,13 @@
-"""Lattice-point counting for fundamental alcoves and the generating-function
-machinery that turns rational series into quasi-polynomials.
+"""Lattice-point counting for fundamental alcoves and the alcove
+quasi-polynomial L_Phi with its per-order pieces.
 
 ``L(q)`` counts x in Z^l (all coordinates >= 0) with c_1 x_1 + ... + c_l x_l
 <= q, where the c_i are the marks; its generating series is
 1 / prod_{i=0..l} (1 - x^{c_i}) (the extra c_0 = 1 factor accumulates the
-inequality).  One routine turns such a series, over a proper numerator,
-into its quasi-polynomial: all p residue classes, p the period, are
-Newton-interpolated together, lane-wise, on integers over one common
-denominator, with a spare node per class as a consistency check.
+inequality).  One cached list of series coefficients serves both the
+counts and L: all rho residue classes are Newton-interpolated from it
+together, lane-wise, on integers over one common denominator, with a
+spare node per class as a consistency check.
 
 L splits into one piece P_d per cyclotomic order d dividing a mark: the
 part of L whose terms zeta^t P(t) have zeta a primitive d-th root of unity.
@@ -25,14 +25,12 @@ from itertools import accumulate
 from operator import add, mul, sub
 
 from .quasipoly import QuasiPoly, _make, sorted_divisors, tilde
-from .ratpoly import RatPoly, _integer_rows
 from .rootsystems import RootSystemInfo
 
 __all__ = [
     "PeriodConsistencyError",
     "denumerant_count",
     "ehrhart_quasi",
-    "series_to_quasipoly",
     "decompose_ehrhart",
 ]
 
@@ -51,12 +49,11 @@ def _alcove_series(marks: tuple[int, ...], length: int) -> list[int]:
     cached = _SERIES_CACHE.get(marks)
     if cached is not None and len(cached) >= length:
         return cached
-    n = max(length, 2 * len(cached) if cached else 0)
-    a = [0] * n
+    a = [0] * max(length, 2 * len(cached) if cached else 0)
     a[0] = 1
     for c in marks:
-        for j in range(c, n):
-            a[j] += a[j - c]
+        for r in range(c):
+            a[r::c] = accumulate(a[r::c])
     _SERIES_CACHE[marks] = a
     return a
 
@@ -74,32 +71,14 @@ def denumerant_count(info: RootSystemInfo, q: int) -> int:
 @lru_cache(maxsize=None)
 def ehrhart_quasi(info: RootSystemInfo) -> QuasiPoly:
     """The alcove Ehrhart quasi-polynomial: degree = rank, period = rho
-    (= lcm of the marks), from the series 1 / prod_{i=0..l} (1 - x^{c_i})."""
-    return series_to_quasipoly(RatPoly.one(), [(c, 1) for c in info.marks])
+    (= lcm of the marks), from the series 1 / prod_{i=0..l} (1 - x^{c_i}).
 
-
-def series_to_quasipoly(
-    numerator: RatPoly, denominator_spec: list[tuple[int, int]]
-) -> QuasiPoly:
-    """Quasi-polynomial whose generating series is
-    numerator / prod_d (1 - x^d)^mult, given as (d, mult) pairs, for a proper
-    numerator, so that the series is quasi-polynomial from t = 0 on.
-
-    With p = lcm(d) and M = sum(mult), lane r, residue r, is the Newton
-    interpolant through r + m p, m < M, in integers over the numerator's
-    common denominator times (M-1)! p^(M-1); it meets the spare node m = M
-    iff the M-th difference is zero.  The p lanes go through each step
-    together, as lists."""
-    if not denominator_spec or numerator.degree >= sum(d * m for d, m in denominator_spec):
-        raise ValueError("improper rational function")
-    p = math.lcm(*(d for d, _ in denominator_spec))
-    big_m = sum(mult for _, mult in denominator_spec)
-    den, (series,) = _integer_rows([numerator.coeffs])
-    series += [0] * (p * (big_m + 1) - len(series))
-    for d, mult in denominator_spec:
-        for _ in range(mult):
-            for r in range(d):
-                series[r::d] = accumulate(series[r::d])
+    With p = rho and M = l + 1 marks, lane r, residue r, is the Newton
+    interpolant through r + m p, m < M, in integers over (M-1)! p^(M-1);
+    it meets the spare node m = M iff the M-th difference is zero.  The p
+    lanes go through each step together, as lists."""
+    p, big_m = info.period_rho, len(info.marks)
+    series = _alcove_series(info.marks, p * (big_m + 1))
     scale = math.factorial(big_m - 1) * p ** (big_m - 1)
     nodes = [range(m * p, (m + 1) * p) for m in range(big_m + 1)]
     vals = [series[m.start : m.stop] for m in nodes]
@@ -116,7 +95,7 @@ def series_to_quasipoly(
     for m in range(big_m - 1, -1, -1):
         row = [list(map(sub, u, map(mul, nodes[m], v))) for u, v in zip([zero] + row, row + [zero])]
         row[0] = list(map(add, row[0], newton[m]))
-    return _make(p, den * scale, list(zip(*row)))
+    return _make(p, scale, list(zip(*row)))
 
 
 # -- decomposition by cyclotomic order ----------------------------------------

@@ -37,7 +37,6 @@ __all__ = [
     "OperatorPoly",
     "tilde",
     "apply_S",
-    "quasipoly_to_json",
 ]
 
 
@@ -309,13 +308,3 @@ def _apply_block_product(start: QuasiPoly, block: int, strides: list[int]) -> Qu
     moments = [v * den // D**e for e, v in enumerate(M)]
     return _evaluate(_operator_rows(start, {0: moments}, den), 1)
 
-
-# ---------------------------------------------------------------------------
-# Serialization (rationals as "p/q" strings, exactness preserved)
-
-
-def quasipoly_to_json(f: QuasiPoly) -> dict:
-    return {
-        "period": f.period,
-        "constituents": [[str(c) for c in p.coeffs] for p in f.constituents],
-    }

@@ -7,8 +7,9 @@ trailing zeros.  The zero polynomial is the empty tuple and has degree
 
 Besides the ring operations and ``render_poly`` it holds one format:
 ``_integer_rows`` clears rows of rational coefficients into integer rows
-over one denominator, for the quasi-polynomials, the series routine and
-the Taylor shift alike.  The integer Taylor shift and Sturm chains of the
+over one denominator, for the quasi-polynomials, the operator weights, the
+cumulant table and the Taylor shift alike.  Most ring operations serve the
+tests' references.  The integer Taylor shift and Sturm chains of the
 root-line certificate live in ``rootline``.  The blocks ``[c]_t``, the
 congruence modulo a power of ``1 - t`` and the moment test for
 divisibility by ``[n]_t^(l+1)`` are references in the tests.

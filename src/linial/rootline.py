@@ -12,11 +12,12 @@ in pure Python, shifted back by a.  For a polynomial symmetric about a,
 such as a characteristic polynomial about nh/2, a is the centroid of every
 part, so the iteration runs on polynomials whose roots sit on the
 imaginary axis, and their real parts carry only the rounding error of the
-centred coefficients.  The report carries the maximal deviation |Re z| of
-those centred roots, taken before the shift by a, whose own rounding
-would otherwise swamp it at large a.  ``find_roots`` takes the same route
-about the centroid of p, after stripping zero roots exactly.  Coefficients,
-roots or an a beyond the float range raise ValueError.
+centred coefficients.  The report carries the maximal relative deviation
+|Re w| / max(1, |w|) over those centred roots w, taken before the shift by
+a, whose own rounding would otherwise swamp it at large a; relative,
+because the rounding error of a root grows with its modulus.  For any a
+the report holds all the roots of p.  Coefficients, roots or an a beyond
+the float range raise ValueError.
 
 exact — all roots lie on Re z = a iff r(-s) = (-1)^deg r(s) AND the
 squarefree part q = q_1, of degree d, turns into a real polynomial
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 from .ratpoly import RatPoly, _integer_rows
 
-__all__ = ["RootReport", "find_roots", "verify_line"]
+__all__ = ["RootReport", "verify_line"]
 
 
 class RootReport(NamedTuple):
@@ -182,29 +183,6 @@ def _aberth_roots(parts: list[list[int]]) -> list[complex]:
     return roots
 
 
-def _shifted(roots: list[complex], a: Fraction) -> list[complex]:
-    """The roots plus a; ValueError if one of them is not finite."""
-    roots = [z + _float(a) for z in roots]
-    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in roots):
-        raise ValueError(_FLOAT_RANGE)
-    return roots
-
-
-def find_roots(p: RatPoly) -> list[complex]:
-    """All complex roots of p (degree >= 1), with multiplicity,
-    deterministically ordered by (imaginary, real) part."""
-    if p.is_zero or p.degree < 1:
-        raise ValueError("need a polynomial of degree >= 1")
-    first = next(k for k, c in enumerate(p.coeffs) if c != 0)
-    roots = [0j] * first
-    p = RatPoly(p.coeffs[first:])
-    if p.degree >= 1:
-        a = -p.coeffs[-2] / (p.degree * p.leading)  # the centroid of the roots
-        r = _primitive(_shift_integers(p, a)[0])
-        roots += _shifted(_aberth_roots(_squarefree_parts(r)), a)
-    return sorted(roots, key=lambda w: (w.imag, w.real))
-
-
 def verify_line(p: RatPoly, a: Fraction | int) -> RootReport:
     """Check that every root of p lies on Re z = a, numerically and exactly."""
     if p.is_zero or p.degree < 1:
@@ -213,8 +191,11 @@ def verify_line(p: RatPoly, a: Fraction | int) -> RootReport:
     r = _primitive(_shift_integers(p, a)[0])  # r(s) = p(s + a), times E > 0
     parts = _squarefree_parts(r)
     centred = _aberth_roots(parts)
-    roots = tuple(sorted(_shifted(centred, a), key=lambda w: (w.imag, w.real)))
-    max_dev = max(abs(z.real) for z in centred)
+    shifted = [w + _float(a) for w in centred]
+    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in shifted):
+        raise ValueError(_FLOAT_RANGE)
+    roots = tuple(sorted(shifted, key=lambda z: (z.imag, z.real)))
+    max_dev = max(abs(w.real) / max(1.0, abs(w)) for w in centred)
 
     deg = len(r) - 1
     symmetry = all(c == 0 for k, c in enumerate(r) if (k - deg) % 2)

@@ -10,7 +10,9 @@ The package applies every shift operator through one moment kernel
 from the definitions, so the tests can compare the two.  The series route
 is an independent reference for ``arrangements.char_quasi``: R_Phi(S^(n+1))
 L_Phi is the quasi-polynomial of R_Phi(x^(n+1)) / prod (1 - x^{c_i}).
-``reference_char_poly`` applies R_Phi(S^(n+1)) to one slot of
+It also converts the partial-fraction pieces of L_Phi in
+``test_ehrhart.reference_decompose``, which ``ehrhart.decompose_ehrhart``
+takes by Moebius inversion of tilde.  ``reference_char_poly`` applies R_Phi(S^(n+1)) to one slot of
 tilde(L_Phi, gcd(n+1, rho)) for each n, where ``arrangements.char_poly``
 evaluates one integer family per class of n.  ``power_sum_block_product``
 applies a product of block sums one factor at a time from the power sums

@@ -8,11 +8,14 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import linial.cli
 from linial.cli import main
+from linial.ehrhart import decompose_ehrhart
+from linial.rootsystems import catalog
 
 
 def run_cli(capsys, *argv):
@@ -287,6 +290,12 @@ def test_decompose_json(capsys):
     assert [p["mark"] for p in doc["parts"]] == [1, 2, 3, 4]
     assert [p["degree"] for p in doc["parts"]] == [4, 2, 0, 0]
     assert doc["resum_ok"] is True
+    # the constituents as exact "p/q" strings, lowest degree first, per slot
+    for p, (d, piece) in zip(doc["parts"], decompose_ehrhart(catalog("F4"))):
+        assert (p["mark"], p["period"]) == (d, piece.period)
+        got = [[Fraction(c) for c in cs] for cs in p["constituents"]]
+        assert got == [list(c.coeffs) for c in piece.constituents]
+    assert any("/" in c for p in doc["parts"] for cs in p["constituents"] for c in cs)
 
 
 def test_roots_json(capsys):
@@ -322,6 +331,16 @@ def test_roots_zero_tol_is_valid(capsys):
     doc = json.loads(out)
     assert doc["tol"] == 0
     assert code == (0 if doc["within_tol"] else 1)
+
+
+def test_roots_large_n_passes_the_default_tol(capsys):
+    # at E8 n = 10^23 the centred roots are ~10^23 in size and their real
+    # parts ~10^-8 from rounding: the relative deviation stays near 1e-32
+    code, out, _ = run_cli(capsys, "roots", "E8", str(10**23), "--format", "json")
+    doc = json.loads(out)
+    assert doc["max_deviation"] < 1e-20
+    assert doc["within_tol"] and doc["symmetry_exact"] and doc["sturm_exact"]
+    assert code == 0
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@ decomposition, checked against references kept here: nested-loop counting,
 and the decomposition by partial fractions over Q[x]."""
 
 import math
-import types
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -16,9 +15,7 @@ from linial.ehrhart import (
     decompose_ehrhart,
     denumerant_count,
     ehrhart_quasi,
-    series_to_quasipoly,
 )
-import linial.ehrhart
 from linial.quasipoly import QuasiPoly, _make, sorted_divisors, tilde
 from linial.ratpoly import RatPoly
 from linial.rootsystems import catalog, positive_roots
@@ -122,10 +119,10 @@ def cyclotomic_factor(d):
     return quotient
 
 
-def reference_decompose(info):
-    """The per-order pieces of L by partial fractions of 1 / prod (1 - x^c)
-    over the factors psi_d^mult(d), each piece g / psi_d^m rewritten over
-    (1 - x^d)^m and converted by ``series_to_quasipoly``."""
+def partial_fraction_series(info):
+    """(d, numerator, [(d, m)]) per cyclotomic order d: 1 / prod (1 - x^c)
+    split by partial fractions over the factors psi_d^m, m = mult(d), each
+    piece g / psi_d^m rewritten over (1 - x^d)^m."""
     orders = sorted({e for c in info.marks for e in sorted_divisors(c)})
     mult = {d: sum(1 for c in info.marks if c % d == 0) for d in orders}
 
@@ -139,14 +136,28 @@ def reference_decompose(info):
     assert check == target, "cyclotomic grouping failed to recombine"
 
     numerators = partial_fractions(RatPoly.one(), factors)
-    parts = []
+    series = []
     for d, g in zip(orders, numerators):
         conv = RatPoly.one()
         for e in sorted_divisors(d)[:-1]:
             conv = conv * cyclotomic_factor(e)
-        part = linial.ehrhart.series_to_quasipoly(g * conv ** mult[d], [(d, mult[d])])
-        parts.append((d, part))
-    return parts
+        series.append((d, g * conv ** mult[d], [(d, mult[d])]))
+    return series
+
+
+def integer_terms(numerator):
+    """``(terms, den)`` with numerator = sum_e terms[e] x^e / den, integers."""
+    den = math.lcm(1, *(c.denominator for c in numerator.coeffs))
+    return {e: int(c * den) for e, c in enumerate(numerator.coeffs) if c}, den
+
+
+def reference_decompose(info):
+    """The per-order pieces of L, each partial-fraction series converted by
+    the test-side ``series_quasi``."""
+    return [
+        (d, series_quasi(*integer_terms(numerator), spec))
+        for d, numerator, spec in partial_fraction_series(info)
+    ]
 
 
 RANK4_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
@@ -314,8 +325,9 @@ def _newton_interpolate(start, step, values):
 
 
 def reference_series_to_quasipoly(numerator, denominator_spec, t0=0):
-    """series_to_quasipoly on a Fraction series with Fraction Newton
-    interpolation per residue class, through the nodes from t0 on."""
+    """The quasi-polynomial of numerator / prod_d (1 - x^d)^mult from a
+    Fraction series with Fraction Newton interpolation per residue class,
+    through the nodes from t0 on."""
     p = math.lcm(*(d for d, _ in denominator_spec))
     dbound = sum(mult for _, mult in denominator_spec) - 1
     length = t0 + p * (dbound + 3)
@@ -340,35 +352,27 @@ def assert_same_constituents(a, b):
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)
-def test_integer_interpolation_matches_fraction_newton(label, monkeypatch):
-    # every series_to_quasipoly call behind ehrhart_quasi and reference_decompose
+def test_integer_interpolation_matches_fraction_newton(label):
+    # ehrhart_quasi, and series_quasi on every series behind reference_decompose
     info = catalog(label)
     spec = [(c, 1) for c in info.marks]
     assert_same_constituents(
         ehrhart_quasi(info), reference_series_to_quasipoly(RatPoly.one(), spec)
     )
-    calls = []
-
-    def recording(numerator, denominator_spec):
-        result = series_to_quasipoly(numerator, denominator_spec)
-        calls.append((numerator, denominator_spec, result))
-        return result
-
-    monkeypatch.setattr(linial.ehrhart, "series_to_quasipoly", recording)
-    parts = reference_decompose(info)
-    assert len(calls) == len(parts)
-    for numerator, denominator_spec, result in calls:
+    series = partial_fraction_series(info)
+    for _, numerator, denominator_spec in series:
         want = reference_series_to_quasipoly(numerator, denominator_spec)
-        assert_same_constituents(result, want)
-    if len(parts) > 1:  # the pieces have rational, non-integer numerators
-        assert any(c.denominator > 1 for numerator, _, _ in calls for c in numerator.coeffs)
+        assert_same_constituents(series_quasi(*integer_terms(numerator), denominator_spec), want)
+    if len(series) > 1:  # the pieces have rational, non-integer numerators
+        assert any(c.denominator > 1 for _, numerator, _ in series for c in numerator.coeffs)
 
 
 def test_series_to_quasipoly_rational_numerator():
-    # (1/3 + 5/2 x) / (1 - x)^2 (1 - x^3): the spare node holds on every class
+    # (1/3 + 5/2 x) / (1 - x)^2 (1 - x^3), as (2 + 15 x) / 6 for the integer
+    # series route: the spare node holds on every class
     num = RatPoly((Fraction(1, 3), Fraction(5, 2)))
     spec = [(1, 2), (3, 1)]
-    f = series_to_quasipoly(num, spec)
+    f = series_quasi({0: 2, 1: 15}, 6, spec)
     assert_same_constituents(f, reference_series_to_quasipoly(num, spec))
 
 
@@ -394,19 +398,16 @@ def test_series_quasi_reduces_improper_numerators(terms):
 
 def test_series_to_quasipoly_geometric():
     # 1 / (1 - x^2) expands with coefficients 1,0,1,0,...
-    f = series_to_quasipoly(RatPoly.one(), [(2, 1)])
+    f = series_quasi({0: 1}, 1, [(2, 1)])
     assert f.eval(4) == 1 and f.eval(5) == 0
-    with pytest.raises(ValueError):
-        series_to_quasipoly(RatPoly.monomial(3), [(2, 1)])  # improper
 
 
-def test_series_to_quasipoly_spare_node_catches_a_short_period(monkeypatch):
-    # with the period forced to 1, the constant 1 through node 0 misses the
-    # series' 0 at node 1
-    short_lcm = types.SimpleNamespace(lcm=lambda *args: 1, factorial=math.factorial)
-    monkeypatch.setattr(linial.ehrhart, "math", short_lcm)
-    with pytest.raises(PeriodConsistencyError, match="residue 0 misses node 1"):
-        series_to_quasipoly(RatPoly.one(), [(2, 1)])
+def test_series_to_quasipoly_spare_node_catches_a_short_period():
+    # with B2's period forced to 1, the quadratic through the series
+    # 1, 2, 4 of 1 / (1 - x)^2 (1 - x^2) at nodes 0..2 reads 7 at node 3,
+    # where the series has 6
+    with pytest.raises(PeriodConsistencyError, match="residue 0 misses node 3"):
+        ehrhart_quasi.__wrapped__(catalog("B2")._replace(period_rho=1))
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)
