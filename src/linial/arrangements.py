@@ -94,7 +94,6 @@ def _char_family(info: RootSystemInfo, g: int):
     return _family(_make(1, avg.den, [avg.rows[1 % avg.period]]), info, 0)
 
 
-@lru_cache(maxsize=None)
 def char_poly(info: RootSystemInfo, n: int) -> RatPoly:
     """The constituent of ``char_quasi`` at residue 1: the family
     ``_char_family`` of the class g = gcd(n+1, rho) evaluated at N = n+1."""
@@ -110,6 +109,8 @@ def oracle_agreement_bound(info: RootSystemInfo, n: int) -> int:
     bound is sharp, i.e. the two differ at every q below it, is observed on
     the acceptance grid only.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return n * (info.coxeter_h - 1)
 
 

@@ -10,13 +10,16 @@ roots      numeric roots of one characteristic polynomial + line certificate
 
 Output is deterministic byte-for-byte for a fixed command line: rows are
 emitted in argument order, rationals are printed as exact ``p/q`` strings,
-floats at 17 significant digits.  Every subcommand builds one record and,
-for Markdown and CSV, one table; ``_emit`` writes either.  JSON goes through
-the stdlib encoder, with each float pre-formatted at 17 digits so that it
-does not print by repr().  On the tabular subcommands ``--format`` selects
-Markdown (default), CSV, or JSON; ``verify`` always emits a single JSON
-record.  The exit status is 0 exactly when every requested check
-passed (``table`` returns 0 whenever the computation itself succeeded).
+floats at 17 significant digits.  Each ``cmd_*`` takes the catalogued type
+and the parsed arguments and returns its verdict, one record and, for
+Markdown and CSV, one table; ``main`` looks up the type, writes the output
+through ``_emit`` and sets the exit status.  JSON goes through the stdlib
+encoder, with each float pre-formatted at 17 digits so that it does not
+print by repr().  On the tabular subcommands ``--format`` selects Markdown
+(default), CSV, or JSON; ``verify`` always emits a single JSON record.  The
+exit status is 0 exactly when every requested check passed (``table``
+returns 0 whenever the computation itself succeeded), 1 when one failed,
+and 2, with ``error: ...`` on stderr and nothing on stdout, for bad input.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ def _marked(obj):
     return obj
 
 
-def _emit(fmt: str, record: dict, headers=(), rows=(), tail=()) -> None:
+def _emit(fmt: str, record: dict, headers, rows, tail) -> None:
     """Write ``record`` as JSON, or the table ``headers``/``rows`` as
     Markdown or CSV followed by the ``tail`` lines.
 
@@ -112,12 +115,11 @@ def _parse_n_list(text: str) -> list:
 
 
 def _line_check(info, n: int):
-    """char_poly(info, n), its target real part nh/2, the root-line report,
-    and whether the report's certificate is exact."""
+    """char_poly(info, n), its target real part nh/2 and the root-line report,
+    whose ``sturm_exact`` is the exact certificate."""
     p = char_poly(info, n)
     target = Fraction(n * info.coxeter_h, 2)
-    report = verify_line(p, target)
-    return p, target, report, report.symmetry_exact and report.sturm_exact
+    return p, target, verify_line(p, target)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +127,7 @@ def _line_check(info, n: int):
 # ---------------------------------------------------------------------------
 
 
-def cmd_table(args) -> int:
-    info = catalog(args.type)
+def cmd_table(info, args):
     checks = [(n, *_line_check(info, n)) for n in _parse_n_list(args.n_list)]
     record = {
         "command": "table",
@@ -137,22 +138,21 @@ def cmd_table(args) -> int:
                 "coeffs": _desc_coeffs(p),
                 "real_part": str(target),
                 "max_deviation": report.max_deviation,
-                "exact": _text(exact),
+                "exact": _text(report.sturm_exact),
             }
-            for n, p, target, report, exact in checks
+            for n, p, target, report in checks
         ],
     }
     if args.format == "md":
         headers = ["n", "characteristic polynomial", "real part", "exact"]
-        rows = [(n, render_poly(p), target, exact) for n, p, target, _, exact in checks]
+        rows = [(n, render_poly(p), target, r.sturm_exact) for n, p, target, r in checks]
     else:
         headers = ["n", "coeffs", "real_part", "max_deviation", "exact"]
         rows = [
             (r["n"], " ".join(r["coeffs"]), r["real_part"], r["max_deviation"], r["exact"])
             for r in record["rows"]
         ]
-    _emit(args.format, record, headers, rows)
-    return 0
+    return True, record, headers, rows, ()
 
 
 # ---------------------------------------------------------------------------
@@ -183,57 +183,41 @@ def _oracle_moduli(info, n: int, q_max: int) -> range:
     return qs
 
 
-def cmd_verify(args) -> int:
-    info = catalog(args.type)
+def cmd_verify(info, args):
     n = args.n
-    if args.mode in ("oracle", "both"):
+    if args.mode != "formula":
         qs = _oracle_moduli(info, n, args.q_max)
-    checks: dict = {}
+    p = char_poly(info, n)
+    f = char_quasi(info, n)
     record: dict = {
         "command": "verify",
         "type": info.label,
         "n": n,
+        "coeffs": _desc_coeffs(p),
+        "period": f.period,
     }
-
-    p = char_poly(info, n)
-    f = char_quasi(info, n)
-    record["coeffs"] = _desc_coeffs(p)
-    record["period"] = f.period
-
-    first_failure = None
-
-    if args.mode in ("formula", "both"):
+    checks: dict = {}
+    if args.mode != "oracle":
         checks["main"] = verify_main_theorem(info, n)
         checks["corollary1"] = verify_corollary1(info, n)
         g = math.gcd(n + 1, info.period_rho)
         if g > math.gcd(n + 1, info.rad_rho):  # eta = 1 would compare a polynomial with itself
             checks["rad"] = verify_rad_theorem(info, n)
         if g == 1:
-            prime_poly = gcd_prime_polynomial(info, n)
-            checks["gcd_prime"] = prime_poly == p and record["period"] == 1
-        for name in ("main", "corollary1", "rad", "gcd_prime"):
-            if first_failure is None and checks.get(name) is False:
-                first_failure = {"check": name, "n": n}
-
-    if args.mode in ("oracle", "both"):
+            checks["gcd_prime"] = gcd_prime_polynomial(info, n) == p and f.period == 1
+    if args.mode != "formula":
         record["oracle_moduli"] = [qs.start, qs.stop - 1]
         results = ((q, f.eval(q), oracle_count(info, 1, n, q)) for q in qs)
-        mismatches = [(q, formula, count) for q, formula, count in results if formula != count]
-        checks["oracle"] = not mismatches
-        if mismatches and first_failure is None:
-            q, formula, count = mismatches[0]
-            first_failure = {
-                "check": "oracle",
-                "q": q,
-                "formula": str(formula),
-                "count": count,
-            }
-
+        mismatch = next((r for r in results if r[1] != r[2]), None)  # the sweep stops there
+        checks["oracle"] = mismatch is None
     record["checks"] = checks
-    if first_failure is not None:
-        record["first_failure"] = first_failure
-    _emit("json", record)
-    return 0 if all(checks.values()) else 1
+    failed = next((name for name, ok in checks.items() if not ok), None)
+    if failed == "oracle":
+        q, formula, count = mismatch
+        record["first_failure"] = {"check": failed, "q": q, "formula": str(formula), "count": count}
+    elif failed is not None:
+        record["first_failure"] = {"check": failed, "n": n}
+    return failed is None, record, (), (), ()
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +225,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ehrhart(args) -> int:
-    info = catalog(args.type)
-    q_max = 3 * info.period_rho if args.q_max is None else args.q_max
+def cmd_ehrhart(info, args):
+    # by default one period past the interpolation nodes 0 .. rho(l+2) - 1 of
+    # ehrhart_quasi, so that every residue is compared at a dilation not used
+    q_max = info.period_rho * (info.rank + 3) - 1 if args.q_max is None else args.q_max
     if not 0 <= q_max <= _EHRHART_Q_MAX:
         raise ValueError(f"--q-max must be >= 0 and <= {_EHRHART_Q_MAX}")
     f = ehrhart_quasi(info)
@@ -259,8 +244,7 @@ def cmd_ehrhart(args) -> int:
         "rows": rows,
         "all_match": all_ok,
     }
-    _emit(args.format, record, ["q", "count", "formula", "match"], [r.values() for r in rows])
-    return 0 if all_ok else 1
+    return all_ok, record, ["q", "count", "formula", "match"], [r.values() for r in rows], ()
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +252,9 @@ def cmd_ehrhart(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_decompose(args) -> int:
-    info = catalog(args.type)
+def cmd_decompose(info, args):
     parts = decompose_ehrhart(info)
-    total = parts[0][1]
-    for _, part in parts[1:]:
-        total = total + part
-    resum_ok = total == ehrhart_quasi(info)
+    resum_ok = sum((part for _, part in parts[1:]), parts[0][1]) == ehrhart_quasi(info)
     record = {
         "command": "decompose",
         "type": info.label,
@@ -294,8 +274,7 @@ def cmd_decompose(args) -> int:
         for r in record["parts"]
     ]
     tail = [f"resum: {'ok' if resum_ok else 'MISMATCH'}"]
-    _emit(args.format, record, ["mark", "period", "degree"], rows, tail)
-    return 0 if resum_ok else 1
+    return resum_ok, record, ["mark", "period", "degree"], rows, tail
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +282,11 @@ def cmd_decompose(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_roots(args) -> int:
+def cmd_roots(info, args):
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be finite and >= 0, not {args.tol}")
-    info = catalog(args.type)
     n = args.n
-    _, target, report, exact = _line_check(info, n)
+    _, target, report = _line_check(info, n)
     deviation = report.max_deviation
     within = deviation <= args.tol
     record = {
@@ -329,7 +307,7 @@ def cmd_roots(args) -> int:
             f"target real part: {target}",
             f"max deviation: {_text(deviation)}",
             f"within tol {_text(args.tol)}: {_text(within)}",
-            f"exact certificate: {_text(exact)}",
+            f"exact certificate: {_text(report.sturm_exact)}",
         ],
         "csv": [
             f"{key},{_text(record[key])}"
@@ -337,8 +315,7 @@ def cmd_roots(args) -> int:
         ],
     }
     rows = [(z.real, z.imag) for z in report.roots]
-    _emit(args.format, record, ["re", "im"], rows, tails.get(args.format, ()))
-    return 0 if within and exact else 1
+    return within and report.sturm_exact, record, ["re", "im"], rows, tails.get(args.format, ())
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--q-max",
         type=int,
         default=None,
-        help=f"largest dilation factor, 0..{_EHRHART_Q_MAX} (default: 3 * period)",
+        help=f"largest dilation factor, 0..{_EHRHART_Q_MAX} (default: period * (rank + 3) - 1)",
     )
 
     add("decompose", cmd_decompose, "per-mark pieces of the alcove count")
@@ -419,16 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "n", None) is not None and args.n < 0:
-        print("error: n must be >= 0", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        ok, record, headers, rows, tail = args.func(catalog(args.type), args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(getattr(args, "format", "json"), record, headers, rows, tail)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -19,11 +19,12 @@ because the rounding error of a root grows with its modulus.  For any a
 the report holds all the roots of p.  Coefficients, roots or an a beyond
 the float range raise ValueError.
 
-exact — all roots lie on Re z = a iff r(-s) = (-1)^deg r(s) AND the
-squarefree part q = q_1, of degree d, turns into a real polynomial
-w(u) = i^(-d) * q(iu) with d distinct real roots.  The parity is an exact
-coefficient check; the real-root count is the sign variations of the Sturm
-chain of w at -inf minus those at +inf.  Together these turn a
+exact — all roots lie on Re z = a iff r(-s) = (-1)^deg r(s) AND r turns
+into a real polynomial w(u) = i^(-deg) * r(iu) whose roots are all real.
+The parity is an exact coefficient check.  The Sturm chain of w ends in
+gcd(w, w'), so w has deg w - deg gcd(w, w') distinct roots, and its sign
+variations at -inf minus those at +inf count the distinct real ones; the
+roots are all real iff the two numbers agree.  Together these turn a
 floating-point observation into an integer-arithmetic proof or refutation,
 repeated roots included.
 """
@@ -200,19 +201,12 @@ def verify_line(p: RatPoly, a: Fraction | int) -> RootReport:
     deg = len(r) - 1
     symmetry = all(c == 0 for k, c in enumerate(r) if (k - deg) % 2)
     sturm_ok = False
-    if symmetry:
-        # the squarefree part keeps the parity of r, so
-        # w(u) = i^(-d) q(iu) has integer coefficients
-        q = parts[0]
-        d = len(q) - 1
-        w = [
-            c * (-1) ** ((d - k) // 2) if (d - k) % 2 == 0 else 0
-            for k, c in enumerate(q)
-        ]
+    if symmetry:  # so w(u) = i^(-deg) r(iu) has integer coefficients
+        w = [c * (-1) ** ((deg - k) // 2) for k, c in enumerate(r)]
         chain = _sturm_chain(w)
         at_plus = [f[-1] > 0 for f in chain]
         at_minus = [s != (len(f) % 2 == 0) for s, f in zip(at_plus, chain)]  # odd degree flips
-        sturm_ok = _variations(at_minus) - _variations(at_plus) == d
+        sturm_ok = _variations(at_minus) - _variations(at_plus) == len(w) - len(chain[-1])
     return RootReport(
         target_real_part=a,
         roots=roots,

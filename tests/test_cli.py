@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import linial.cli
+from conftest import ALL_TYPES
 from linial.cli import main
 from linial.ehrhart import decompose_ehrhart
 from linial.rootsystems import catalog
@@ -99,6 +100,23 @@ def test_negative_n(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "A2", "-1"],
+        ["verify", "B3", "-1", "--mode", "formula"],
+        ["verify", "B3", "-1", "--mode", "oracle"],
+        ["verify", "B3", "-1", "--mode", "both"],
+        ["verify", "B2", "-1", "--mode", "oracle", "--q-max", "0"],
+    ],
+    ids=["roots", "formula", "oracle", "both", "oracle-q-max-0"],
+)
+def test_negative_n_message(capsys, argv):
+    # the library rejects n < 0 on every path, before any modulus check
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: n must be >= 0\n")
+
+
 def test_verify_formula_mode(capsys):
     code, out, _ = run_cli(capsys, "verify", "G2", "3", "--mode", "formula")
     assert code == 0
@@ -125,15 +143,19 @@ def test_verify_gcd_prime_key_only_when_coprime(capsys):
 
 def test_verify_oracle_reports_first_failure(capsys, monkeypatch):
     # A2 n=2 sweeps q = 4..8; a count that is off by one at q = 6 must be
-    # reported, which only happens if every q is compared with the formula
-    import linial.cli
-
+    # reported, which only happens if every q is compared with the formula,
+    # and the sweep stops there: q = 7 and 8 are never counted
     real = linial.cli.oracle_count
-    monkeypatch.setattr(
-        linial.cli, "oracle_count", lambda info, a, b, q: real(info, a, b, q) + (q == 6)
-    )
+    moduli = []
+
+    def off_at_6(info, a, b, q):
+        moduli.append(q)
+        return real(info, a, b, q) + (q == 6)
+
+    monkeypatch.setattr(linial.cli, "oracle_count", off_at_6)
     code, out, _ = run_cli(capsys, "verify", "A2", "2", "--mode", "both", "--q-max", "8")
     assert code == 1
+    assert moduli == [4, 5, 6]
     doc = json.loads(out)
     assert doc["oracle_moduli"] == [4, 8]
     assert doc["checks"]["oracle"] is False
@@ -215,6 +237,18 @@ def test_ehrhart_markdown_and_exit(capsys):
     code, out, _ = run_cli(capsys, "ehrhart", "G2", "--q-max", "8")
     assert code == 0
     assert "| 6 | 7 | 7 | yes |" in out
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_ehrhart_default_range_passes_the_interpolation_nodes(capsys, label):
+    # ehrhart_quasi interpolates L at q = 0 .. rho(l+2) - 1; the default
+    # range goes one period further, so each residue is checked off the nodes
+    info = catalog(label)
+    code, out, _ = run_cli(capsys, "ehrhart", label, "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["all_match"] is True
+    assert doc["rows"][-1]["q"] == info.period_rho * (info.rank + 3) - 1
+    assert doc["rows"][-1]["q"] > info.period_rho * (info.rank + 2) - 1
 
 
 def test_ehrhart_json(capsys):
