@@ -10,8 +10,8 @@ the formula is the *eventual* counting polynomial.
 
 This script prints both sides across a sweep of q so you can watch them
 lock together exactly at the threshold.  It ends with the one E7 count
-inside the agreement regime, n = 1 at q = 17 (17^7 ~ 4.1e8 points, a few
-seconds): 17 is odd, so the count is the value of the E7 n=1 characteristic
+inside the agreement regime, n = 1 at q = 17 (17^7 ~ 4.1e8 points, about
+a second): 17 is odd, so the count is the value of the E7 n=1 characteristic
 polynomial, the frozen row in tests/golden_tables.py.
 
 Run:  python3 demos/modular_oracle.py

@@ -116,7 +116,7 @@ def oracle_agreement_bound(info: RootSystemInfo, n: int) -> int:
 
 # Largest q^rank that ``oracle_count`` (and the sum that a ``verify`` sweep) may enumerate.
 _ORACLE_POINT_BUDGET = 10**9
-# Most candidate points the oracle holds per level of its enumeration.
+# Most candidate points the oracle holds per level: _BLOCK // min(q, 64) prefixes, 64 bits each.
 _BLOCK = 1 << 16
 
 
@@ -125,9 +125,10 @@ def oracle_count(info: RootSystemInfo, a: int, b: int, q: int) -> int:
     and all integers k in [a, b]}; b = a - 1 denotes the empty arrangement.
 
     A count of points, with no algebra: the x_i = (alpha_i, x) are fixed one
-    at a time, a prefix is dropped once a root whose last nonzero simple-root
-    coefficient c was just fixed lands in F = {k mod q : a <= k <= b}, and all
-    q values of x_i are settled by rows of T_c[u, x] = [(u + c x) mod q in F].
+    at a time, and a prefix is dropped once a root whose last nonzero
+    simple-root coefficient c was just fixed lands in F = {k mod q : a <= k <= b}.
+    x_0 is read off F (alpha_0 is the one root ending there); later x_i, 64
+    values at a time, off packed rows: bit t of M_c[v] is [(v + c t) mod q in F].
     Raises ValueError when q^l exceeds ``_ORACLE_POINT_BUDGET``."""
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -142,38 +143,42 @@ def oracle_count(info: RootSystemInfo, a: int, b: int, q: int) -> int:
     from numpy.lib.stride_tricks import as_strided
 
     C = np.array(positive_roots(info), dtype=np.int64)
-    last = np.array([np.flatnonzero(r)[-1] for r in C])  # last nonzero coordinate
+    last = ell - 1 - np.argmax(C[:, ::-1] > 0, axis=1)  # last nonzero coordinate
     C, last = C[last.argsort(kind="stable")], np.sort(last)
-    width = min(q, _BLOCK)  # values of one coordinate per chunk
-    rows = max(1, _BLOCK // width)  # prefixes per block
-    # ext[u] = [u mod q in F]; F is a cyclic interval of at most q residues
-    ext = np.zeros(q + int(C.max()) * width, dtype=bool)
+    ext = np.zeros(q, dtype=bool)  # ext[u] = [u mod q in F]; F is a cyclic interval of <= q residues
     start, size = a % q, min(b - a + 1, q)
     ext[start : start + size] = ext[: max(0, start + size - q)] = True
-    ext[q:] = np.resize(ext[:q], len(ext) - q)
-    # zero-copy views T[c][u, t] = ext[u + c t] = T_c[u, t]
-    T = {c: as_strided(ext, (q, width), (1, c)) for c in set(C.ravel().tolist()) - {0}}
+    if ell == 1:
+        return q - int(np.count_nonzero(ext))
+    ext = np.resize(ext, 2 * q + int(C.max()) * 64)
+    # M[c][v] for v < 2q: the zero-copy view ext[v + c t], t < 64, packed into one word
+    M = {c: np.packbits(as_strided(ext, (2 * q, 64), (1, c)), axis=1, bitorder="little")
+         .copy().view("<u8")[:, 0] for c in set(C.ravel().tolist()) - {0}}
+    assert 2 * q <= 1 << 16  # rank >= 2 in the budget: q <= 31,622, so partial dots u + c x < 2q
+    Q, rows = np.uint16(q), _BLOCK // min(q, 64)  # rows: prefixes per block
 
     def count(D, j):  # D[k]: partial dot mod q of the k-th root not settled before x_j
         lo, hi = np.searchsorted(last, [j, j + 1])
         alive = 0
-        for x0 in range(0, q, width):
-            w = min(width, q - x0)
-            xc = (C[hi:, j, None] * np.arange(x0, x0 + w) % q).astype(np.int32)
+        for x0 in range(0, q, 64):
+            w = min(64, q - x0)
+            xc = (C[hi:, j, None] * np.arange(x0, x0 + w) % q).astype(np.uint16)
             for i in range(0, D.shape[1], rows):
                 blk = D[:, i : i + rows]
-                bad = np.zeros((blk.shape[1], w), dtype=bool)
-                for k in range(lo, hi):
-                    c, u = int(C[k, j]), blk[k - lo]  # T_c[u, x0 + t] = T_c[u + c x0, t]
-                    bad |= T[c][(u + c * x0 % q) % q if x0 else u, :w]
+                bad = np.full(blk.shape[1], (1 << 64) - (1 << w), dtype="<u8")  # bits t >= w: past q
+                for k in range(lo, hi):  # the row of u on x0 + t is M_c[u + (c x0 mod q)] on t
+                    bad |= M[C[k, j]][C[k, j] * x0 % q :][blk[k - lo]]
+                bits = np.unpackbits(bad.view(np.uint8), bitorder="little")
                 if j == ell - 1:
-                    alive += bad.size - int(np.count_nonzero(bad))
+                    alive += bits.size - int(np.count_nonzero(bits))
                     continue
-                pi, xi = np.nonzero(~bad)
-                alive += count((blk[hi - lo :, pi] + xc[:, xi]) % q, j + 1)
+                pi, xi = np.nonzero(bits.reshape(-1, 64)[:, :w] == 0)
+                nd = np.take(blk[hi - lo :], pi, axis=1) + np.take(xc, xi, axis=1)
+                nd -= Q * (nd >= Q)
+                alive += count(nd, j + 1)
         return alive
 
-    return count(np.zeros((len(C), 1), dtype=np.int32), 0)
+    return count((C[1:, 0, None] * np.flatnonzero(~ext[:q]) % q).astype(np.uint16), 1)
 
 
 def verify_main_theorem(info: RootSystemInfo, n: int) -> bool:

@@ -17,7 +17,7 @@ count checks one value of the polynomial, not its coefficients:
   9.2e6): the row's polynomial, evaluated at q, equals the count
   (``test_golden_row_against_oracle`` in test_arrangements.py).  Both q
   are 1 modulo the period, so the row is the constituent there.
-* E7 n=1 at q = 17 (17^7 ~ 4.1e8 points, a few seconds): counted by
+* E7 n=1 at q = 17 (17^7 ~ 4.1e8 points, about a second): counted by
   ``demos/modular_oracle.py``, which prints formula and count; the suite
   does not run it, to stay within its time budget.
 * E6 n=5 (55^6 ~ 2.8e10), E7 n=2 and n=5 (34^7 ~ 5.3e10 and more) and every

@@ -37,12 +37,12 @@ from reference_algebra import (
     verify_shift_relation,
 )
 
-_CHUNK = 1 << 21
+_CHUNK = 1 << 18
 
 
 def brute_oracle_count(info, a, b, q):
     """Reference for ``oracle_count``: every point of (Z/q)^l, in chunks of
-    2^21, dotted with every positive root."""
+    2^18, dotted with every positive root."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if b < a - 1:
@@ -215,7 +215,9 @@ ORACLE_REFERENCE_TYPES = {
 def test_oracle_matches_brute_reference(label):
     # general windows [a, b]: a <= 0, empty (b = a - 1), at least q long,
     # q in {1, 2}, seeded draws, and one modulus with q^l ~ 2e5, whose
-    # prefixes fill several blocks for most types; 11 cases per type
+    # prefixes fill several blocks for most types; 11 cases per type.  At
+    # rank <= 3, q in {63, ..., 129} puts the 64-bit rows of a coordinate
+    # on and across word boundaries: [1, 1] at even q, wrapping past 0 at odd q
     info = catalog(label)
     rng = random.Random(label)
     q_max = ORACLE_REFERENCE_TYPES[label]
@@ -225,34 +227,70 @@ def test_oracle_matches_brute_reference(label):
         q = rng.randint(1, q_max)
         a = rng.randint(-2 * q, 3)
         cases.append((a, a - 1 + rng.choice([rng.randint(0, 4), rng.randint(q, 2 * q)]), q))
+    for q in (63, 64, 65, 128, 129):
+        if q**info.rank <= 3 * 10**6:
+            cases.append((q - 5, q + 7, q) if q % 2 else (1, 1, q))
     for a, b, q in cases:
         assert oracle_count(info, a, b, q) == brute_oracle_count(info, a, b, q), (a, b, q)
 
 
 def test_oracle_matches_brute_reference_across_chunks():
-    # q > 2^16 splits the values of a coordinate into several chunks; only
-    # rank 1 reaches such q within the point budget
+    # windows across 2^16 and past q at q > 2^16, which only rank 1 reaches
+    # within the point budget; rank 1 counts F itself, with no rows or chunks
     info = catalog("A1")
     q = (1 << 17) + 3
     for a, b in ((1, 1), (-5, 70000), ((1 << 16) - 2, (1 << 16) + 2), (q - 3, q + 3), (9, 8)):
         assert oracle_count(info, a, b, q) == brute_oracle_count(info, a, b, q), (a, b)
 
 
-def test_oracle_memory_is_bounded():
-    # E6 at q = 13 is 13^6 ~ 4.8e6 points; the whole process stays under 200 MB
-    script = (
-        "import resource\n"
-        "from linial.arrangements import char_quasi, oracle_count\n"
-        "from linial.rootsystems import catalog\n"
-        "info = catalog('E6')\n"
-        "assert oracle_count(info, 1, 1, 13) == char_quasi(info, 1).eval(13)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+def _peak_rss_kib(code):
+    """Run ``code`` in a fresh interpreter and return its peak resident set
+    in KiB, read as VmHWM, the high-water mark of its own address space.
+    Its ru_maxrss would not do: across the spawn it keeps the test
+    process's own resident set, ~170 MB late in the suite."""
+    script = code + (
+        "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 200 * 1024  # ru_maxrss is in KiB
+    return int(proc.stdout)
+
+
+def test_oracle_memory_is_bounded():
+    # E6 at q = 13 is 13^6 ~ 4.8e6 points; the whole process stays under 200 MB
+    assert _peak_rss_kib(
+        "from linial.arrangements import char_quasi, oracle_count\n"
+        "from linial.rootsystems import catalog\n"
+        "info = catalog('E6')\n"
+        "assert oracle_count(info, 1, 1, 13) == char_quasi(info, 1).eval(13)\n"
+    ) < 200 * 1024
+
+
+def test_oracle_rank_one_memory_is_bounded():
+    # A1 at q = 5e7: a table of q words or an index array of q points would
+    # each take 400 MB; the whole process stays under 150 MB
+    assert _peak_rss_kib(
+        "from linial.arrangements import oracle_count\n"
+        "from linial.rootsystems import catalog\n"
+        "assert oracle_count(catalog('A1'), 1, 1, 5 * 10**7) == 5 * 10**7 - 1\n"
+    ) < 150 * 1024
+
+
+def test_oracle_at_the_top_of_the_uint16_range():
+    # G2 at q = 31,622, the largest rank-2 modulus within the point budget,
+    # where the sums u + (c x mod q) < 2q come nearest 2^16; the window
+    # [1, q - 3] leaves the residues 0, q - 2 and q - 1, so a point counts
+    # only if x_0 is one of them, and x_1 runs over all of Z/q
+    info, q = catalog("G2"), 31622
+    alive = {0, q - 2, q - 1}
+    expected = sum(
+        all((r0 * x0 + r1 * x1) % q in alive for r0, r1 in positive_roots(info))
+        for x0 in sorted(alive)
+        for x1 in range(q)
+    )
+    assert oracle_count(info, 1, q - 3, q) == expected
 
 
 @pytest.mark.parametrize("label", SMALL_TYPES)
